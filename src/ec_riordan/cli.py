@@ -33,6 +33,7 @@ from .paths import (
 )
 from .pipeline import derive_g, derive_gamma, full_verify
 from .riordan import g_family_params, gamma_family_params
+from .series import Series
 from .transforms import (
     TorsionDepthError,
     ZeroXCoordinateError,
@@ -52,36 +53,38 @@ def _rat(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
-def _emit(args, payload: dict, lines: list[str], rows: Optional[list[list]] = None) -> None:
+def _emit(args, payload: dict, lines: list[str], rows: list[list]) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
         writer = csv.writer(sys.stdout)
-        for row in rows or []:
+        for row in rows:
             writer.writerow(row)
     else:
         for line in lines:
             print(line)
 
 
-def _curve(args) -> Curve:
-    return Curve(args.a, args.b, args.c)
-
-
 def _strs(values) -> list[str]:
     return [str(v) for v in values]
 
 
-def _cmd_derive(args) -> int:
-    curve = _curve(args)
+def _family_series(args, curve: Curve, order: int) -> Series:
+    return (derive_g if args.family == "g" else derive_gamma)(curve, order)
+
+
+# Each command returns (exit code, json payload, text lines, csv rows).
+
+
+def _cmd_derive(args, curve: Curve):
     g = derive_g(curve, args.order)
-    gamma = derive_gamma(curve, args.order)
+    shift = curve.a - 2 * curve.c + 1
+    gamma = g.binomial(shift)
     am_g = g_family_params(curve.a, curve.b, curve.c)
     am_gamma = gamma_family_params(curve.a, curve.b, curve.c)
     sp = somos_params(curve)
-    shift = curve.a - 2 * curve.c + 1
     payload = {
-        "curve": {"a": str(curve.a), "b": str(curve.b), "c": str(curve.c)},
+        "curve": curve.to_dict(),
         "discriminant": str(curve.discriminant),
         "order": args.order,
         "g": _strs(g.coefficients()),
@@ -93,8 +96,8 @@ def _cmd_derive(args) -> int:
     }
     lines = [
         f"curve: a={curve.a} b={curve.b} c={curve.c} (discriminant {curve.discriminant})",
-        "g:     " + ", ".join(_strs(g.coefficients())),
-        "gamma: " + ", ".join(_strs(gamma.coefficients())),
+        "g:     " + ", ".join(payload["g"]),
+        "gamma: " + ", ".join(payload["gamma"]),
         f"binomial shift g -> gamma: {shift}",
         f"A-matrix (g):     {am_g}",
         f"A-matrix (gamma): {am_gamma}",
@@ -102,12 +105,10 @@ def _cmd_derive(args) -> int:
     ]
     rows = [["n", "g_n", "gamma_n"]]
     rows += [[n, str(g[n]), str(gamma[n])] for n in range(args.order)]
-    _emit(args, payload, lines, rows)
-    return 0
+    return 0, payload, lines, rows
 
 
-def _cmd_verify(args) -> int:
-    curve = _curve(args)
+def _cmd_verify(args, curve: Curve):
     report = full_verify(curve, args.order)
     lines = [
         f"{'PASS' if ch.passed else 'FAIL'}  {ch.name} ({ch.detail})"
@@ -118,8 +119,7 @@ def _cmd_verify(args) -> int:
     )
     rows = [["check", "pass", "detail"]]
     rows += [[ch.name, ch.passed, ch.detail] for ch in report.checks]
-    _emit(args, report.to_dict(), lines, rows)
-    return 0 if report.all_pass else 1
+    return (0 if report.all_pass else 1), report.to_dict(), lines, rows
 
 
 def _stepset(args, curve: Curve) -> StepSet:
@@ -130,27 +130,13 @@ def _stepset(args, curve: Curve) -> StepSet:
     return stepset_orbit(curve, args.r)
 
 
-def _cmd_paths(args) -> int:
-    curve = _curve(args)
+def _cmd_paths(args, curve: Curve):
     if args.family == "orbit" and args.r is None:
         raise ValueError("--family orbit needs --r")
     ss = _stepset(args, curve)
     table = dp_count(ss, args.rows)
-    code = 0
-    brute_note = None
-    if args.brute:
-        n_max = min(args.rows - 1, BRUTE_FORCE_LIMIT)
-        brute = brute_force_table(ss, n_max)
-        same = all(
-            table[n][k] == brute[n][k]
-            for n in range(n_max + 1)
-            for k in range(n + 1)
-        )
-        brute_note = f"brute force to n = {n_max}: {'agrees' if same else 'MISMATCH'}"
-        if not same:
-            code = 1
     payload = {
-        "curve": {"a": str(curve.a), "b": str(curve.b), "c": str(curve.c)},
+        "curve": curve.to_dict(),
         "family": args.family,
         "steps": ss.to_dicts(),
         "origin_override": None
@@ -158,33 +144,33 @@ def _cmd_paths(args) -> int:
         else str(ss.origin_override),
         "rows": [_strs(row) for row in table],
     }
-    if brute_note is not None:
-        payload["brute_force"] = brute_note
     lines = [f"step set: {ss}"]
     lines += [
         f"{n}: " + " ".join(_strs(row)) for n, row in enumerate(table)
     ]
-    if brute_note:
-        lines.append(brute_note)
     rows = [["n", "k", "count"]]
     rows += [
         [n, k, str(v)] for n, row in enumerate(table) for k, v in enumerate(row)
     ]
-    _emit(args, payload, lines, rows)
-    return code
+    code = 0
+    if args.brute:
+        n_max = min(args.rows - 1, BRUTE_FORCE_LIMIT)
+        same = table[: n_max + 1] == brute_force_table(ss, n_max)
+        note = f"brute force to n = {n_max}: {'agrees' if same else 'MISMATCH'}"
+        payload["brute_force"] = note
+        lines.append(note)
+        code = 0 if same else 1
+    return code, payload, lines, rows
 
 
-def _cmd_hankel(args) -> int:
-    curve = _curve(args)
+def _cmd_hankel(args, curve: Curve):
     count = args.count if args.count is not None else (args.order + 1) // 2
-    series = (derive_g if args.family == "g" else derive_gamma)(
-        curve, max(args.order, 2 * count - 1)
-    )
-    h = hankel_transform(series.prefix(2 * count - 1), count)
+    series = _family_series(args, curve, max(args.order, 2 * count - 1))
+    prefix = series.prefix(2 * count - 1)
+    h = hankel_transform(prefix, count)
     sp = somos_params(curve)
     sv = somos_verify(h, sp) if count >= 5 else None
     code = 0 if (sv is None or sv) else 1
-    product_note = None
     try:
         prod = [hankel_point_product(curve, n) for n in range(count)]
         same = prod == h
@@ -194,9 +180,9 @@ def _cmd_hankel(args) -> int:
     except (TorsionDepthError, ZeroXCoordinateError) as exc:
         product_note = f"point product skipped: {exc}"
     payload = {
-        "curve": {"a": str(curve.a), "b": str(curve.b), "c": str(curve.c)},
+        "curve": curve.to_dict(),
         "family": args.family,
-        "sequence": _strs(series.prefix(2 * count - 1)),
+        "sequence": _strs(prefix),
         "hankel": _strs(h),
         "somos": {"r": str(sp.r), "s": str(sp.s)}
         | ({"ok": bool(sv)} if sv is not None else {"ok": None}),
@@ -211,37 +197,28 @@ def _cmd_hankel(args) -> int:
             + (f" (skipped zero divisors at {sv.skipped})" if sv.skipped else "")
         )
     lines = [
-        "sequence: " + ", ".join(_strs(series.prefix(2 * count - 1))),
-        "hankel:   " + ", ".join(_strs(h)),
+        "sequence: " + ", ".join(payload["sequence"]),
+        "hankel:   " + ", ".join(payload["hankel"]),
         somos_line,
         product_note,
     ]
     rows = [["n", "hankel_n"]]
     rows += [[n, str(v)] for n, v in enumerate(h)]
-    _emit(args, payload, lines, rows)
-    return code
+    return code, payload, lines, rows
 
 
-def _cmd_eds(args) -> int:
-    curve = _curve(args)
+def _cmd_eds(args, curve: Curve):
     count = args.count if args.count is not None else args.order
-    w = curve.eds(count)
-    payload = {
-        "curve": {"a": str(curve.a), "b": str(curve.b), "c": str(curve.c)},
-        "eds": _strs(w),
-    }
-    lines = ["W: " + ", ".join(_strs(w))]
-    rows = [["n", "W_n"]] + [[n, str(v)] for n, v in enumerate(w)]
-    _emit(args, payload, lines, rows)
-    return 0
+    w = _strs(curve.eds(count))
+    payload = {"curve": curve.to_dict(), "eds": w}
+    rows = [["n", "W_n"]] + [[n, v] for n, v in enumerate(w)]
+    return 0, payload, ["W: " + ", ".join(w)], rows
 
 
-def _cmd_points(args) -> int:
-    curve = _curve(args)
-    count = args.count if args.count is not None else 8
-    pts = curve.multiples(count)
+def _cmd_points(args, curve: Curve):
+    pts = curve.multiples(args.count)
     payload = {
-        "curve": {"a": str(curve.a), "b": str(curve.b), "c": str(curve.c)},
+        "curve": curve.to_dict(),
         "points": [p.to_dict() for p in pts],
     }
     lines = [f"[{k}]P = {p}" for k, p in enumerate(pts, start=1)]
@@ -252,16 +229,14 @@ def _cmd_points(args) -> int:
         [k, "inf" if p.is_infinity else str(p.x), "inf" if p.is_infinity else str(p.y)]
         for k, p in enumerate(pts, start=1)
     ]
-    _emit(args, payload, lines, rows)
-    return 0
+    return 0, payload, lines, rows
 
 
-def _cmd_jfrac(args) -> int:
-    curve = _curve(args)
+def _cmd_jfrac(args, curve: Curve):
     target = derive_g(curve, args.order).binomial(args.shift)
     code = 0
     payload: dict = {
-        "curve": {"a": str(curve.a), "b": str(curve.b), "c": str(curve.c)},
+        "curve": curve.to_dict(),
         "shift": str(args.shift),
         "depth": args.depth,
     }
@@ -288,13 +263,11 @@ def _cmd_jfrac(args) -> int:
         for j in range(len(jf.b)):
             lam = str(jf.lam[j]) if j < len(jf.lam) else ""
             rows.append([name, j, str(jf.b[j]), lam])
-    _emit(args, payload, lines, rows)
-    return code
+    return code, payload, lines, rows
 
 
-def _cmd_oeis(args) -> int:
-    curve = _curve(args)
-    series = (derive_g if args.family == "g" else derive_gamma)(curve, args.order)
+def _cmd_oeis(args, curve: Curve):
+    series = _family_series(args, curve, args.order)
     if args.hankel:
         count = (args.order + 1) // 2
         seq = hankel_transform(series.prefix(2 * count - 1), count)
@@ -328,8 +301,7 @@ def _cmd_oeis(args) -> int:
     rows.append(
         [bfile.anum, bfile.source, result.matched, result.offset, result.compared]
     )
-    _emit(args, payload, lines, rows)
-    return 0 if result.matched else 1
+    return (0 if result.matched else 1), payload, lines, rows
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eds)
 
     p = sub.add_parser("points", parents=[common], help="multiples of the base point")
-    p.add_argument("--count", type=int, default=None, help="how many multiples (default 8)")
+    p.add_argument("--count", type=int, default=8, help="how many multiples (default 8)")
     p.set_defaults(func=_cmd_points)
 
     p = sub.add_parser("jfrac", parents=[common], help="Jacobi continued fraction")
@@ -406,10 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, payload, lines, rows = args.func(args, Curve(args.a, args.b, args.c))
     except (OEISNetworkError, OEISLookupError, OEISFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -422,6 +393,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _emit(args, payload, lines, rows)
+    return code
 
 
 if __name__ == "__main__":

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
-from .series import Series
-
-Rat = Union[int, Fraction]
+from .series import Rat, Series
 
 
 class SingularCurveError(ValueError):
@@ -89,6 +87,9 @@ class Curve:
             raise SingularCurveError(
                 f"curve (a={self.a}, b={self.b}, c={self.c}) is singular"
             )
+
+    def to_dict(self) -> dict:
+        return {"a": str(self.a), "b": str(self.b), "c": str(self.c)}
 
     # -- points ------------------------------------------------------------
 

@@ -13,12 +13,11 @@ import os
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-Rat = Union[int, Fraction]
+from .series import Rat
 
 OEIS_URL = "https://oeis.org/{anum}/b{digits}.txt"
 CACHE_ENV = "EC_RIORDAN_CACHE"

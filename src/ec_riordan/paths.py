@@ -5,20 +5,23 @@ carrying a rational weight.  Paths start at the origin, never dip below
 height 0, and the entry t[n][k] collects the weight products of all paths
 with total x-advance n ending at height k.
 
-Two independent engines are provided: a row DP (dp_count) and exhaustive
-enumeration with no memoization (brute_force_count / brute_force_table),
-the latter kept deliberately naive so it can serve as an oracle.
+Two independent engines are provided.  The row DP (dp_count) is the one
+implementation of the five-term A-matrix recurrence: the Riordan triangle
+of riordan_from_recurrence is the DP over the A-matrix step set, and
+riordan.riordan_build checks it from the series side.  Exhaustive
+enumeration with no memoization (brute_force_table, of which
+brute_force_count reads one entry) is kept deliberately naive so it can
+serve as the oracle for the DP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .riordan import AMatrix, g_family_params, gamma_family_params, orbit_shift
-
-Rat = Union[int, Fraction]
+from .series import Rat
 
 BRUTE_FORCE_LIMIT = 14
 
@@ -130,53 +133,32 @@ def dp_count(steps: StepSet, n_rows: int) -> list[list[Fraction]]:
     return rows
 
 
-def _first_step_weight(steps: StepSet, dx: int, dy: int, w: Fraction) -> Fraction:
-    if (dx, dy) == (1, 0) and steps.origin_override is not None:
-        return steps.origin_override
-    return w
+def riordan_from_recurrence(
+    am: AMatrix, n_rows: int, t10_override: Optional[Rat] = None
+) -> list[list[Fraction]]:
+    """Rows of the triangle generated by the five-term A-matrix recurrence.
+
+    t[0][0] = 1; if t10_override is given it replaces t[1][0] (the rest of
+    the triangle then builds on the replaced value).
+    """
+    return dp_count(StepSet.of(_amatrix_steps(am), t10_override), n_rows)
 
 
-def _first_moves(steps: StepSet) -> list[tuple[int, int, Fraction]]:
-    moves = [(dx, dy, _first_step_weight(steps, dx, dy, w)) for dx, dy, w in steps.steps]
-    if steps.origin_override is not None and all(
-        (dx, dy) != (1, 0) for dx, dy, _ in steps.steps
-    ):
-        moves.append((1, 0, steps.origin_override))
+def _first_moves(steps: StepSet):
+    """The alphabet of the first step: origin_override weights (1, 0) there."""
+    ov = steps.origin_override
+    if ov is None:
+        return steps.steps
+    moves = [(dx, dy, ov if (dx, dy) == (1, 0) else w) for dx, dy, w in steps.steps]
+    if (1, 0, ov) not in moves:
+        moves.append((1, 0, ov))
     return moves
 
 
 def brute_force_count(steps: StepSet, n: int, k: int) -> Fraction:
-    """Weight of paths to (n, k) by exhaustive enumeration.  No memoization."""
-    if n > BRUTE_FORCE_LIMIT:
-        raise SearchSpaceTooLargeError(
-            f"refusing exhaustive enumeration for n = {n} > {BRUTE_FORCE_LIMIT}"
-        )
-    if n < 0 or k < 0:
-        return Fraction(0)
-    if n == 0:
-        return Fraction(1) if k == 0 else Fraction(0)
-    total = Fraction(0)
-
-    def walk(x: int, h: int, weight: Fraction, moves) -> None:
-        nonlocal total
-        remaining = n - x
-        # height changes by at most 1 per unit of x-advance, both ways
-        if abs(k - h) > remaining:
-            return
-        for dx, dy, w in moves:
-            if w == 0:
-                continue
-            nx, nh = x + dx, h + dy
-            if nx > n or nh < 0:
-                continue
-            if nx == n:
-                if nh == k:
-                    total += weight * w
-            else:
-                walk(nx, nh, weight * w, steps.steps)
-
-    walk(0, 0, Fraction(1), _first_moves(steps))
-    return total
+    """Weight of paths to (n, k): one entry of brute_force_table."""
+    table = brute_force_table(steps, max(n, 0))
+    return table[n][k] if 0 <= k <= n else Fraction(0)
 
 
 def brute_force_table(steps: StepSet, n_max: int) -> list[list[Fraction]]:

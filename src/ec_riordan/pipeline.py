@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
 
 from .curve import Curve
 from .riordan import (
@@ -29,7 +28,7 @@ from .riordan import (
     riordan_build,
 )
 from .paths import dp_count, stepset_for_g, stepset_for_gamma
-from .series import Series, catalan_gf
+from .series import Rat, Series, catalan_gf
 from .transforms import (
     TorsionDepthError,
     ZeroXCoordinateError,
@@ -40,8 +39,6 @@ from .transforms import (
     somos_params_from_amatrix,
     somos_verify,
 )
-
-Rat = Union[int, Fraction]
 
 
 class FormulaDomainError(ValueError):
@@ -104,11 +101,11 @@ def _power(base: Fraction, exp: int) -> Fraction:
     return base ** exp
 
 
-def g_coefficient_formula(curve: Curve, n: int) -> Fraction:
-    """Coefficient n of g by the closed triple sum over the A-matrix parameters.
+def _coefficient_sum(am: AMatrix, n: int) -> Fraction:
+    """[x^n] amatrix_gf(am) by the closed triple sum over its parameters.
 
-    u_n = sum_{k=0}^{n} sum_{j=0}^{k+1} C(k+1,j) gamma^j
-          sum_i C(2k+i,i) C(i, n-3k-i-j) alpha^(2i+3k+j-n) beta^(n-3k-i-j) Cat_k.
+    sum_{k=0}^{n} sum_{j=0}^{k+1} C(k+1,j) gamma^j
+        sum_i C(2k+i,i) C(i, n-3k-i-j) alpha^(2i+3k+j-n) beta^(n-3k-i-j) Cat_k.
 
     Terms whose binomial factor vanishes are skipped; a nonzero term with a
     negative parameter exponent would raise FormulaDomainError (the binomial
@@ -117,7 +114,6 @@ def g_coefficient_formula(curve: Curve, n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    am = g_family_params(curve.a, curve.b, curve.c)
     total = Fraction(0)
     for k in range(n + 1):
         cat = Fraction(math.comb(2 * k, k), k + 1)
@@ -146,35 +142,20 @@ def g_coefficient_formula(curve: Curve, n: int) -> Fraction:
     return total
 
 
+def g_coefficient_formula(curve: Curve, n: int) -> Fraction:
+    """Coefficient n of g by the triple sum over the g-family A-matrix."""
+    return _coefficient_sum(g_family_params(curve.a, curve.b, curve.c), n)
+
+
 def gamma_coefficient_formula(curve: Curve, n: int) -> Fraction:
     """Coefficient n of gamma by the closed double sum.
 
-    v_n = sum_{k=0}^{n} sum_{j=0}^{n-3k} C(2k+j,j) C(j, n-3k-j)
-          beta^(n-3k-j) alpha^(2j-n+3k) Cat_k
-    over the gamma-family parameters.
+    The gamma family has gamma = 0, so only j = 0 survives the triple sum:
+
+    v_n = sum_{k=0}^{n} sum_{i=0}^{n-3k} C(2k+i,i) C(i, n-3k-i)
+          beta^(n-3k-i) alpha^(2i-n+3k) Cat_k.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    am = gamma_family_params(curve.a, curve.b, curve.c)
-    total = Fraction(0)
-    for k in range(n + 1):
-        top = n - 3 * k
-        if top < 0:
-            continue
-        cat = Fraction(math.comb(2 * k, k), k + 1)
-        for j in range(top + 1):
-            c1 = math.comb(2 * k + j, j)
-            c2 = math.comb(j, top - j) if 0 <= top - j <= j else 0
-            if c1 == 0 or c2 == 0:
-                continue
-            total += (
-                c1
-                * c2
-                * _power(am.beta, top - j)
-                * _power(am.alpha, 2 * j - n + 3 * k)
-                * cat
-            )
-    return total
+    return _coefficient_sum(gamma_family_params(curve.a, curve.b, curve.c), n)
 
 
 # -- the cross-checking report -----------------------------------------------
@@ -217,15 +198,12 @@ def full_verify(curve: Curve, order: int = 24) -> VerifyReport:
     """Run every derivation route on one curve and cross-check exactly."""
     if order < 8:
         raise ValueError("order must be at least 8")
-    report = VerifyReport(
-        curve={"a": str(curve.a), "b": str(curve.b), "c": str(curve.c)},
-        order=order,
-    )
+    report = VerifyReport(curve=curve.to_dict(), order=order)
     checks = report.checks
     shift = curve.a - 2 * curve.c + 1
 
     g = derive_g(curve, order)
-    gamma = derive_gamma(curve, order)
+    gamma = g.binomial(shift)
 
     ok = g == closed_form_g(curve, order)
     checks.append(
@@ -289,14 +267,14 @@ def full_verify(curve: Curve, order: int = 24) -> VerifyReport:
         )
     )
 
+    want_depth = (order - 1) // 2
+    pts = curve.multiples(want_depth + 1)
+    avail = len(pts) - (1 if pts[-1].is_infinity else 0)
+    depth = min(want_depth, avail - 1)
     for name, target, jf_shift in (
         ("J-fraction from points (g)", g, Fraction(0)),
         ("J-fraction from points (gamma)", gamma, shift),
     ):
-        want_depth = (order - 1) // 2
-        pts = curve.multiples(want_depth + 1)
-        avail = len(pts) - (1 if pts[-1].is_infinity else 0)
-        depth = min(want_depth, avail - 1)
         if depth < 1:
             checks.append(
                 CheckResult(name, True, "skipped: no affine multiple beyond P")

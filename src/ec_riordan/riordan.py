@@ -8,18 +8,17 @@ The arrays built from curve parameters all satisfy a five-term recurrence
 
 whose coefficients form the A-matrix (alpha, beta, gamma, delta).  The
 recurrence kernel for u = x*g reads u/x = 1 + gamma*x + alpha*u + beta*u*x
-+ delta*u^2*x.
++ delta*u^2*x.  The recurrence itself is run by the lattice path DP
+(paths.riordan_from_recurrence); this module builds the same triangle from
+the series, which is the independent check on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
 
-from .series import InsufficientOrderError, Series
-
-Rat = Union[int, Fraction]
+from .series import InsufficientOrderError, Rat, Series
 
 
 @dataclass(frozen=True)
@@ -147,44 +146,6 @@ def riordan_build(g: Series, f: Series, n_rows: int) -> RiordanArray:
     if f.order < 2 or f[0] != 0 or f[1] != 1:
         raise ValueError("f must satisfy f(0) = 0 and f'(0) = 1")
     return RiordanArray(g, f, n_rows)
-
-
-def riordan_multiply(left: RiordanArray, right: RiordanArray) -> RiordanArray:
-    return left.multiply(right)
-
-
-def riordan_from_recurrence(
-    am: AMatrix, n_rows: int, t10_override: Optional[Rat] = None
-) -> list[list[Fraction]]:
-    """Rows of the triangle generated by the five-term recurrence.
-
-    t[0][0] = 1; if t10_override is given it replaces t[1][0] (the rest of
-    the triangle then builds on the replaced value).
-    """
-    if n_rows < 1:
-        raise ValueError("n_rows must be at least 1")
-    rows: list[list[Fraction]] = [[Fraction(1)]]
-
-    def at(n: int, k: int) -> Fraction:
-        if n < 0 or k < 0 or k > n:
-            return Fraction(0)
-        return rows[n][k]
-
-    for n in range(1, n_rows):
-        row = []
-        for k in range(n + 1):
-            val = (
-                at(n - 1, k - 1)
-                + am.gamma * at(n - 2, k - 1)
-                + am.alpha * at(n - 1, k)
-                + am.beta * at(n - 2, k)
-                + am.delta * at(n - 2, k + 1)
-            )
-            row.append(val)
-        if n == 1 and t10_override is not None:
-            row[0] = Fraction(t10_override)
-        rows.append(row)
-    return rows
 
 
 def identity_rows(n_rows: int) -> list[list[Fraction]]:

@@ -18,12 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .curve import Curve
-from .series import Series
-
-Rat = Union[int, Fraction]
+from .series import Rat, Series
 
 
 class InsufficientTermsError(ValueError):

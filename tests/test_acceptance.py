@@ -353,7 +353,7 @@ def test_criterion_10():
         # Tie in the single-cell walker as well.
         assert brute_force_count(ss, 7, 3) == table[7][3]
         assert brute_force_count(ss, 6, 0) == table[6][0]
-    return "9 step sets, 11 rows each, all three counters agree"
+    return "9 step sets, 11 rows each, the two counters agree"
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,6 @@ from ec_riordan import (
     pseudo_involution_check,
     riordan_build,
     riordan_from_recurrence,
-    riordan_multiply,
     verify_kernel,
 )
 
@@ -175,8 +174,8 @@ class TestProduct:
         g = derive_g(Curve(*E1), 10)
         arr = riordan_build(g, g.shift_up(1).truncate(10), 8)
         ident = RiordanArray(Series.one(10), Series.x(10), 8)
-        assert riordan_multiply(arr, ident).rows == arr.rows
-        assert riordan_multiply(ident, arr).rows == arr.rows
+        assert arr.multiply(ident).rows == arr.rows
+        assert ident.multiply(arr).rows == arr.rows
 
     def test_group_product_equals_matrix_product(self):
         rng = random.Random(27)
@@ -191,7 +190,7 @@ class TestProduct:
                 )
                 return RiordanArray(g, f, 6)
             one, two = rand_pair(), rand_pair()
-            assert riordan_multiply(one, two).rows == one.matmul_rows(two)
+            assert one.multiply(two).rows == one.matmul_rows(two)
 
 
 class TestKernel:

@@ -65,7 +65,6 @@ from .transforms import (
 )
 from .pipeline import (
     CheckResult,
-    FormulaDomainError,
     VerifyReport,
     amatrix_gf,
     closed_form_g,
@@ -75,70 +74,35 @@ from .pipeline import (
     full_verify,
     g_coefficient_formula,
     gamma_coefficient_formula,
-    orbit_params,
 )
 
 __version__ = "0.1.0"
 
+# The supported surface: the names the README documents.  Everything the
+# import block above brings in stays importable from the package.
 __all__ = [
     "AMatrix",
-    "BRUTE_FORCE_LIMIT",
-    "CheckResult",
     "Curve",
-    "FormulaDomainError",
-    "INFINITY",
-    "InsufficientDepthError",
-    "InsufficientOrderError",
-    "InsufficientTermsError",
-    "JFraction",
-    "NonUnitConstantError",
-    "NonzeroInnerConstantError",
-    "NotRevertibleError",
     "Point",
-    "PointNotOnCurveError",
-    "RiordanArray",
     "SearchSpaceTooLargeError",
     "Series",
-    "SeriesError",
-    "SingularCurveError",
-    "SomosCheck",
-    "SomosParams",
-    "StepSet",
     "TorsionDepthError",
-    "VerifyReport",
-    "ZeroConstantTermError",
-    "ZeroXCoordinateError",
-    "amatrix_gf",
     "brute_force_count",
     "brute_force_table",
-    "catalan_gf",
     "closed_form_g",
-    "closed_form_gamma",
     "derive_g",
     "derive_gamma",
     "dp_count",
     "full_verify",
     "g_coefficient_formula",
-    "g_family_params",
     "gamma_coefficient_formula",
-    "gamma_family_params",
-    "hankel_point_product",
     "hankel_transform",
-    "identity_rows",
-    "jfrac_eval",
     "jfrac_extract",
     "jfrac_from_points",
-    "orbit_params",
-    "orbit_shift",
-    "pseudo_involution_check",
     "riordan_build",
     "riordan_from_recurrence",
     "somos_params",
-    "somos_params_from_amatrix",
     "somos_verify",
     "stepset_for_g",
-    "stepset_for_gamma",
-    "stepset_orbit",
-    "verify_kernel",
     "__version__",
 ]

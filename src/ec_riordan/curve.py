@@ -31,10 +31,6 @@ class Point:
     x: Optional[Fraction]
     y: Optional[Fraction]
 
-    @classmethod
-    def at_infinity(cls) -> "Point":
-        return cls(None, None)
-
     @property
     def is_infinity(self) -> bool:
         return self.x is None
@@ -50,7 +46,7 @@ class Point:
         return f"({self.x}, {self.y})"
 
 
-INFINITY = Point.at_infinity()
+INFINITY = Point(None, None)
 
 
 class Curve:

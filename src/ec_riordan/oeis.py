@@ -9,6 +9,7 @@ since the same sequence is frequently indexed from different offsets.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import urllib.error
 import urllib.request
@@ -21,6 +22,9 @@ from .series import Rat
 
 OEIS_URL = "https://oeis.org/{anum}/b{digits}.txt"
 CACHE_ENV = "EC_RIORDAN_CACHE"
+TIMEOUT_S = 10.0  # network fetch timeout
+MAX_SHIFT = 2  # largest relative offset compare_sequence tries
+MIN_OVERLAP = 4  # fewest aligned terms that count as a comparison
 
 
 class OEISFormatError(ValueError):
@@ -101,10 +105,7 @@ def default_cache_dir() -> Path:
 
 
 def load_bfile(
-    anum: str,
-    offline: bool = False,
-    cache_dir: Optional[Path] = None,
-    timeout: float = 10.0,
+    anum: str, offline: bool = False, cache_dir: Optional[Path] = None
 ) -> BFile:
     """Fixtures, then cache, then network.  Offline stops at fixtures."""
     anum = normalize_anum(anum)
@@ -121,16 +122,20 @@ def load_bfile(
 
     url = OEIS_URL.format(anum=anum, digits=anum[1:])
     try:
-        with urllib.request.urlopen(url, timeout=timeout) as resp:
+        with urllib.request.urlopen(url, timeout=TIMEOUT_S) as resp:
             text = resp.read().decode("utf-8")
     except (urllib.error.URLError, TimeoutError, OSError) as exc:
         raise OEISNetworkError(f"fetching {url}: {exc}") from None
     bfile = parse_bfile(anum, text, "network")
+    # write a temp file and rename it, so a failed write leaves no b-file
+    tmp = cache / f".{anum}.{os.getpid()}.tmp"
     try:
         cache.mkdir(parents=True, exist_ok=True)
-        cached.write_text(text, encoding="utf-8")
-    except OSError:
-        pass  # a read-only cache is not an error
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, cached)
+    except OSError:  # a read-only cache is not an error
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
     return bfile
 
 
@@ -140,9 +145,6 @@ class MatchResult:
     offset: Optional[int]
     compared: int
     first_mismatch: Optional[tuple[int, str, str]]  # position, ours, theirs
-
-    def __bool__(self) -> bool:
-        return self.matched
 
     def to_dict(self) -> dict:
         return {
@@ -155,26 +157,21 @@ class MatchResult:
         }
 
 
-def compare_sequence(
-    computed: Sequence[Rat],
-    bfile: BFile,
-    max_shift: int = 2,
-    min_overlap: int = 4,
-) -> MatchResult:
-    """Positional comparison with relative shifts up to max_shift.
+def compare_sequence(computed: Sequence[Rat], bfile: BFile) -> MatchResult:
+    """Positional comparison with relative shifts up to MAX_SHIFT.
 
     Shift d >= 0 aligns computed[i] with bfile.values[i + d]; d < 0 drops
     the first |d| computed terms instead.  Shifts are tried nearest first.
     """
     vals = bfile.values
-    shifts = sorted(range(-max_shift, max_shift + 1), key=lambda d: (abs(d), d < 0))
+    shifts = sorted(range(-MAX_SHIFT, MAX_SHIFT + 1), key=lambda d: (abs(d), d < 0))
     fallback: Optional[tuple[int, str, str]] = None
     best_compared = 0
     for d in shifts:
         ours = computed[-d:] if d < 0 else computed
         theirs = vals[d:] if d >= 0 else vals
         overlap = min(len(ours), len(theirs))
-        if overlap < min_overlap:
+        if overlap < MIN_OVERLAP:
             continue
         mismatch = None
         for i in range(overlap):

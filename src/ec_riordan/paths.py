@@ -56,13 +56,6 @@ class StepSet:
     def to_dicts(self) -> list[dict]:
         return [{"dx": dx, "dy": dy, "w": str(w)} for dx, dy, w in self.steps]
 
-    @classmethod
-    def from_dicts(cls, items, origin_override: Optional[Rat] = None) -> "StepSet":
-        return cls.of(
-            [(d["dx"], d["dy"], Fraction(str(d["w"]))) for d in items],
-            origin_override,
-        )
-
     def __str__(self) -> str:
         parts = [f"({dx},{dy}) w={w}" for dx, dy, w in self.steps]
         text = "; ".join(parts)

@@ -23,12 +23,11 @@ from .riordan import (
     AMatrix,
     g_family_params,
     gamma_family_params,
-    orbit_shift,
     pseudo_involution_check,
     riordan_build,
 )
 from .paths import dp_count, stepset_for_g, stepset_for_gamma
-from .series import Rat, Series, catalan_gf
+from .series import Series, catalan_gf
 from .transforms import (
     TorsionDepthError,
     ZeroXCoordinateError,
@@ -39,10 +38,6 @@ from .transforms import (
     somos_params_from_amatrix,
     somos_verify,
 )
-
-
-class FormulaDomainError(ValueError):
-    """A nonzero summation term demanded a negative power of a parameter."""
 
 
 def derive_g(curve: Curve, order: int) -> Series:
@@ -85,20 +80,7 @@ def closed_form_gamma(curve: Curve, order: int) -> Series:
     return amatrix_gf(gamma_family_params(curve.a, curve.b, curve.c), order)
 
 
-def orbit_params(curve: Curve, r: Rat) -> AMatrix:
-    """A-matrix of the r-th binomial transform of g."""
-    return orbit_shift(g_family_params(curve.a, curve.b, curve.c), r)
-
-
 # -- explicit coefficient formulas -------------------------------------------
-
-
-def _power(base: Fraction, exp: int) -> Fraction:
-    if exp < 0:
-        raise FormulaDomainError(
-            f"negative exponent {exp} of a nonzero summation term"
-        )
-    return base ** exp
 
 
 def _coefficient_sum(am: AMatrix, n: int) -> Fraction:
@@ -107,36 +89,28 @@ def _coefficient_sum(am: AMatrix, n: int) -> Fraction:
     sum_{k=0}^{n} sum_{j=0}^{k+1} C(k+1,j) gamma^j
         sum_i C(2k+i,i) C(i, n-3k-i-j) alpha^(2i+3k+j-n) beta^(n-3k-i-j) Cat_k.
 
-    Terms whose binomial factor vanishes are skipped; a nonzero term with a
-    negative parameter exponent would raise FormulaDomainError (the binomial
-    factors vanish first on every curve tested, so the guard only documents
-    the domain).
+    With top = n-3k-j, C(i, top-i) is nonzero only for top/2 <= i <= top,
+    so the loops run over exactly those terms and the alpha exponent
+    2i - top is never negative.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     total = Fraction(0)
-    for k in range(n + 1):
+    for k in range(n // 3 + 1):
         cat = Fraction(math.comb(2 * k, k), k + 1)
-        for j in range(k + 2):
-            top = n - 3 * k - j
-            if top < 0:
-                continue
-            cj = math.comb(k + 1, j)
-            gamma_pow = _power(am.gamma, j)
+        for j in range(min(k + 1, n - 3 * k) + 1):
+            gamma_pow = am.gamma ** j
             if gamma_pow == 0:
                 continue
-            for i in range(top + 1):
-                c1 = math.comb(2 * k + i, i)
-                c2 = math.comb(i, top - i) if 0 <= top - i <= i else 0
-                if c1 == 0 or c2 == 0:
-                    continue
+            top = n - 3 * k - j
+            for i in range((top + 1) // 2, top + 1):
                 total += (
-                    cj
+                    math.comb(k + 1, j)
                     * gamma_pow
-                    * c1
-                    * c2
-                    * _power(am.alpha, 2 * i + 3 * k + j - n)
-                    * _power(am.beta, top - i)
+                    * math.comb(2 * k + i, i)
+                    * math.comb(i, top - i)
+                    * am.alpha ** (2 * i - top)
+                    * am.beta ** (top - i)
                     * cat
                 )
     return total

@@ -75,10 +75,6 @@ class Series:
         return cls(cs[:order])
 
     @classmethod
-    def zero(cls, order: int) -> "Series":
-        return cls.poly([], order)
-
-    @classmethod
     def one(cls, order: int) -> "Series":
         return cls.poly([1], order)
 
@@ -216,11 +212,6 @@ class Series:
 
     # -- transcendental-ish operations ------------------------------------
 
-    def differentiate(self) -> "Series":
-        if self.order < 2:
-            raise InsufficientOrderError("differentiation needs order >= 2")
-        return Series([k * self._coeffs[k] for k in range(1, self.order)])
-
     def sqrt(self) -> "Series":
         """The square root with constant term +1.
 
@@ -296,7 +287,7 @@ def _div(f: Series, g: Series) -> Series:
     g0 = g._coeffs[0]
     out = [Fraction(0)] * n
     for k in range(n):
-        acc = f._coeffs[k] if k < f.order else Fraction(0)
+        acc = f._coeffs[k]
         for i in range(1, k + 1):
             if g._coeffs[i] != 0:
                 acc -= g._coeffs[i] * out[k - i]

@@ -169,8 +169,9 @@ def somos_verify(seq: Sequence[Rat], params: SomosParams) -> SomosCheck:
 class JFraction:
     """A truncated J-fraction; depth = len(lam), len(b) in {depth, depth+1}.
 
-    `exact` marks a terminating fraction (the tail was identically zero to
-    the available order), which evaluates validly to any order.
+    `exact` marks a terminating fraction, which evaluates validly to any
+    order.  Only a caller that knows the tail is identically zero may set
+    it: a truncated series cannot prove that, so extraction never does.
     """
 
     b: tuple[Fraction, ...]
@@ -201,8 +202,8 @@ def jfrac_extract(g: Series, depth: int) -> JFraction:
     Each level rewrites g = 1/(1 - b_j x - lambda_{j+1} x^2 g') and recurses
     on g', consuming two orders.  If some lambda vanishes the extraction
     stops there and the returned fraction reports the depth actually
-    achieved; it is marked exact when the remainder was identically zero
-    (a terminating fraction such as 1/(1-x)).
+    achieved.  It is never marked exact: a remainder that vanishes to the
+    available order (as for a prefix of 1/(1-x)) may not vanish beyond it.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -221,10 +222,10 @@ def jfrac_extract(g: Series, depth: int) -> JFraction:
         b.append(rem[1])
         tail = (rem - rem[1] * Series.x(rem.order)).shift_down(2)
         if tail[0] == 0:
-            return JFraction(tuple(b), tuple(lam), exact=tail.is_zero())
+            break
         lam.append(tail[0])
         current = tail / tail[0]
-    return JFraction(tuple(b), tuple(lam), exact=False)
+    return JFraction(tuple(b), tuple(lam))
 
 
 def jfrac_from_points(curve: Curve, shift: Rat, depth: int) -> JFraction:
@@ -265,12 +266,10 @@ def jfrac_eval(jf: JFraction, order: int) -> Series:
         raise InsufficientDepthError(
             f"order {order} needs depth >= {(order + 1) // 2}, have {jf.depth}"
         )
-    x = Series.x(order)
-    x2 = x * x
     tail = Series.one(order)
     for j in range(len(jf.b) - 1, -1, -1):
-        denom = Series.one(order) - jf.b[j] * x
+        denom = Series.poly([1, -jf.b[j]], order)
         if j < len(jf.lam):
-            denom = denom - jf.lam[j] * x2 * tail
+            denom = denom - (jf.lam[j] * tail).shift_up(2)
         tail = Series.one(order) / denom
     return tail

@@ -1,6 +1,7 @@
 """B-file parsing, the three-stage lookup, and positional comparison."""
 
 import io
+import pathlib
 import urllib.error
 
 import pytest
@@ -161,3 +162,29 @@ class TestCacheAndNetwork:
         again = load_bfile("A000041", cache_dir=tmp_path)
         assert again.source == "cache"
         assert again.values == bf.values
+
+    def test_failed_cache_write_leaves_no_bfile(self, monkeypatch, tmp_path):
+        payload = b"0 1\n1 1\n2 2\n3 3\n4 5\n"
+        fetches = []
+
+        def serve(url, timeout):
+            fetches.append(url)
+            return io.BytesIO(payload)
+
+        def torn_write(self, data, encoding=None, errors=None, newline=None):
+            with open(self, "w", encoding=encoding) as fh:
+                fh.write(data[: len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr("urllib.request.urlopen", serve)
+        monkeypatch.setattr(pathlib.Path, "write_text", torn_write)
+        assert load_bfile("A000041", cache_dir=tmp_path).source == "network"
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == []
+
+        monkeypatch.setattr("urllib.request.urlopen", serve)
+        again = load_bfile("A000041", cache_dir=tmp_path)
+        assert again.source == "network"
+        assert again.values == (1, 1, 2, 3, 5)
+        assert len(fetches) == 2
+        assert [f.name for f in tmp_path.iterdir()] == ["A000041.txt"]

@@ -36,11 +36,6 @@ class TestStepSet:
         with pytest.raises(ValueError):
             StepSet.of([(1, 2, 1)])
 
-    def test_dict_round_trip(self):
-        ss = StepSet.of([(1, 1, 1), (2, -1, F(1, 2))], origin_override=-1)
-        again = StepSet.from_dicts(ss.to_dicts(), ss.origin_override)
-        assert again == ss
-
     def test_family_step_sets(self):
         cur = Curve(*E1)
         ss = stepset_for_g(cur)

@@ -8,7 +8,6 @@ import pytest
 from ec_riordan import (
     AMatrix,
     Curve,
-    FormulaDomainError,
     SingularCurveError,
     amatrix_gf,
     closed_form_g,
@@ -17,10 +16,7 @@ from ec_riordan import (
     derive_gamma,
     full_verify,
     g_coefficient_formula,
-    g_family_params,
     gamma_coefficient_formula,
-    orbit_params,
-    orbit_shift,
 )
 
 E1 = (-1, -2, -1)
@@ -117,17 +113,6 @@ class TestCoefficientFormulas:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             g_coefficient_formula(Curve(*E1), -1)
-
-    def test_domain_error_class(self):
-        assert issubclass(FormulaDomainError, ValueError)
-
-
-class TestOrbitParams:
-    def test_delegates_to_orbit_shift(self):
-        cur = Curve(*E1)
-        base = g_family_params(*E1)
-        for r in (-2, 0, 3, F(1, 2)):
-            assert orbit_params(cur, r) == orbit_shift(base, r)
 
 
 class TestFullVerify:

@@ -181,10 +181,20 @@ class TestJFractionExtract:
 
     def test_terminating_fraction(self):
         jf = jfrac_extract(Series.one(9) / Series.poly([1, -1], 9), 4)
-        assert jf.exact
+        assert not jf.exact
         assert jf.b == (F(1),)
         assert jf.lam == ()
-        assert jfrac_eval(jf, 20) == Series.one(20) / Series.poly([1, -1], 20)
+        # evaluating past the prefix needs the caller to assert the zero tail
+        whole = JFraction(jf.b, jf.lam, exact=True)
+        assert jfrac_eval(whole, 20) == Series.one(20) / Series.poly([1, -1], 20)
+
+    def test_truncated_series_never_terminates(self):
+        # 1/(1-x) through x^9, but coefficient 2 at x^12
+        s = Series([1] * 12 + [2] + [1] * 7)
+        jf = jfrac_extract(s.truncate(10), 4)
+        assert not jf.exact
+        with pytest.raises(InsufficientDepthError):
+            jfrac_eval(jf, 20)
 
     def test_needs_order(self):
         with pytest.raises(InsufficientTermsError):

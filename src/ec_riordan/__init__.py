@@ -28,7 +28,6 @@ from .riordan import (
     RiordanArray,
     g_family_params,
     gamma_family_params,
-    identity_rows,
     orbit_shift,
     pseudo_involution_check,
     riordan_build,

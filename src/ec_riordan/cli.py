@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__
-from .curve import Curve, PointNotOnCurveError, SingularCurveError
+from .curve import Curve
 from .oeis import (
     OEISFormatError,
     OEISLookupError,
@@ -384,13 +384,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OEISNetworkError, OEISLookupError, OEISFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (
-        SingularCurveError,
-        PointNotOnCurveError,
-        TorsionDepthError,
-        ZeroXCoordinateError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(args, payload, lines, rows)

@@ -87,6 +87,13 @@ def parse_bfile(anum: str, text: str, source: str = "text") -> BFile:
     return BFile(anum, start, tuple(values), source)
 
 
+def _decode(anum: str, data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise OEISFormatError(f"{anum}: not UTF-8 text at byte {exc.start}") from None
+
+
 def _fixture_text(anum: str) -> Optional[str]:
     box = resources.files("ec_riordan") / "oeis_data" / f"{anum}.txt"
     try:
@@ -118,12 +125,12 @@ def load_bfile(
     cache = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     cached = cache / f"{anum}.txt"
     if cached.is_file():
-        return parse_bfile(anum, cached.read_text(encoding="utf-8"), "cache")
+        return parse_bfile(anum, _decode(anum, cached.read_bytes()), "cache")
 
     url = OEIS_URL.format(anum=anum, digits=anum[1:])
     try:
         with urllib.request.urlopen(url, timeout=TIMEOUT_S) as resp:
-            text = resp.read().decode("utf-8")
+            text = _decode(anum, resp.read())
     except (urllib.error.URLError, TimeoutError, OSError) as exc:
         raise OEISNetworkError(f"fetching {url}: {exc}") from None
     bfile = parse_bfile(anum, text, "network")

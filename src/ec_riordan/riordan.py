@@ -117,27 +117,6 @@ class RiordanArray:
             [cols[k][n] for k in range(n + 1)] for n in range(n_rows)
         ]
 
-    def multiply(self, other: "RiordanArray") -> "RiordanArray":
-        """Group product (g1, f1) * (g2, f2) = (g1 * g2(f1), f2(f1))."""
-        n = min(self.n_rows, other.n_rows, self.g.order, other.g.order)
-        g1, f1 = self.g.truncate(n), self.f.truncate(n)
-        g2, f2 = other.g.truncate(n), other.f.truncate(n)
-        return RiordanArray(g1 * g2.compose(f1), f2.compose(f1), n)
-
-    def matmul_rows(self, other: "RiordanArray") -> list[list[Fraction]]:
-        """Numeric lower-triangular matrix product of the materialized rows."""
-        n = min(self.n_rows, other.n_rows)
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(i + 1):
-                acc = Fraction(0)
-                for k in range(j, i + 1):
-                    acc += self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
-        return out
-
 
 def riordan_build(g: Series, f: Series, n_rows: int) -> RiordanArray:
     """The proper Riordan array for g(0) = 1, f(0) = 0, f'(0) = 1."""
@@ -148,24 +127,18 @@ def riordan_build(g: Series, f: Series, n_rows: int) -> RiordanArray:
     return RiordanArray(g, f, n_rows)
 
 
-def identity_rows(n_rows: int) -> list[list[Fraction]]:
-    return [
-        [Fraction(1) if k == n else Fraction(0) for k in range(n + 1)]
-        for n in range(n_rows)
-    ]
-
-
 def pseudo_involution_check(g: Series, n_rows: int) -> bool:
-    """True iff (g, -x*g) squares to the identity matrix on n_rows rows."""
-    n = min(g.order, n_rows)
-    if n < n_rows:
+    """True iff (g, -x*g) squares to the identity matrix on n_rows rows.
+
+    With f = -x*g the square is (g * g(f), f(f)) and f(f) = x * g * g(f),
+    so that holds exactly when g * g(f) = 1 to order n_rows.
+    """
+    if g.order < n_rows:
         raise InsufficientOrderError(
             f"pseudo-involution check to {n_rows} rows needs g valid that far"
         )
-    f = (-g).shift_up(1).truncate(g.order)
-    arr = RiordanArray(g, f, n_rows)
-    product = arr.multiply(arr)
-    return product.rows == identity_rows(product.n_rows)
+    g = g.truncate(n_rows)
+    return g * g.compose((-g).shift_up(1)) == Series.one(n_rows)
 
 
 def verify_kernel(u: Series, am: AMatrix) -> bool:

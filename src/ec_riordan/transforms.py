@@ -12,6 +12,12 @@ counts binomial transforms (shift 0 reproduces g itself).  The intrinsic
 constant is forced at j = 0: doubling P gives 2P with
 (y - 1)/x = a - c, while the linear coefficient of g is -1 on every
 curve of the family.
+
+As paths (Flajolet 1980), [x^n] g weighs the Motzkin paths of length n
+whose level steps at height k weigh b_k and down steps to height k weigh
+lambda_{k+1}.  The weights T[n][k] of paths from height 0 to height k obey
+T[n+1][k] = T[n][k-1] + b_k T[n][k] + lambda_{k+1} T[n][k+1], with g as
+column 0; evaluation runs this table by rows, extraction by columns.
 """
 
 from __future__ import annotations
@@ -197,13 +203,14 @@ class JFraction:
 
 
 def jfrac_extract(g: Series, depth: int) -> JFraction:
-    """Peel b and lambda coefficients off a series with g(0) = 1.
+    """Read b and lambda off a series with g(0) = 1 (Chebyshev's algorithm).
 
-    Each level rewrites g = 1/(1 - b_j x - lambda_{j+1} x^2 g') and recurses
-    on g', consuming two orders.  If some lambda vanishes the extraction
-    stops there and the returned fraction reports the depth actually
-    achieved.  It is never marked exact: a remainder that vanishes to the
-    available order (as for a prefix of 1/(1-x)) may not vanish beyond it.
+    T[k][k] = 1 (the all-up path), so row k of the path table gives b_k, and
+    row k+1 gives lambda_{k+1} and column k+1.  If some lambda vanishes the
+    extraction stops there and the returned fraction reports the depth
+    actually achieved.  It is never marked exact: a lambda that vanishes on
+    the available order (as for a prefix of 1/(1-x)) may not vanish on a
+    longer series.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -215,16 +222,16 @@ def jfrac_extract(g: Series, depth: int) -> JFraction:
         )
     b: list[Fraction] = []
     lam: list[Fraction] = []
-    current = g
-    for _ in range(depth):
-        # 1 - 1/g = b_j x + lambda_{j+1} x^2 g'
-        rem = Series.one(current.order) - Series.one(current.order) / current
-        b.append(rem[1])
-        tail = (rem - rem[1] * Series.x(rem.order)).shift_down(2)
-        if tail[0] == 0:
+    col = g.coefficients()  # T[n][k] for the current column k
+    prev = [Fraction(0)] * len(col)  # T[n][k-1]
+    for k in range(depth):
+        b.append(col[k + 1] - prev[k])
+        # lambda_{k+1} T[n][k+1] = T[n+1][k] - T[n][k-1] - b_k T[n][k]
+        nxt = [col[n + 1] - prev[n] - b[k] * col[n] for n in range(len(col) - 1)]
+        if nxt[k + 1] == 0:
             break
-        lam.append(tail[0])
-        current = tail / tail[0]
+        lam.append(nxt[k + 1])
+        prev, col = col, [v / lam[k] for v in nxt]
     return JFraction(tuple(b), tuple(lam))
 
 
@@ -255,10 +262,11 @@ def jfrac_from_points(curve: Curve, shift: Rat, depth: int) -> JFraction:
 
 
 def jfrac_eval(jf: JFraction, order: int) -> Series:
-    """Evaluate a J-fraction bottom-up as a series with `order` coefficients.
+    """Evaluate a J-fraction as a series with `order` coefficients.
 
-    A depth-d fraction justifies order <= 2d (terminating fractions are
-    exact at any order).
+    Column 0 of the path table, on paths of height <= depth (b_k = 0 past
+    the given b).  A depth-d fraction justifies order <= 2d (terminating
+    fractions are exact at any order).
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -266,10 +274,13 @@ def jfrac_eval(jf: JFraction, order: int) -> Series:
         raise InsufficientDepthError(
             f"order {order} needs depth >= {(order + 1) // 2}, have {jf.depth}"
         )
-    tail = Series.one(order)
-    for j in range(len(jf.b) - 1, -1, -1):
-        denom = Series.poly([1, -jf.b[j]], order)
-        if j < len(jf.lam):
-            denom = denom - (jf.lam[j] * tail).shift_up(2)
-        tail = Series.one(order) / denom
-    return tail
+    top = min(jf.depth, (order - 1) // 2)  # higher paths cannot return in time
+    b = jf.b + (Fraction(0),) * (top + 1 - len(jf.b))
+    row = [Fraction(1)] + [Fraction(0)] * top
+    coeffs = [row[0]]
+    for _ in range(1, order):
+        up = [Fraction(0)] + row[:-1]
+        down = [jf.lam[k] * row[k + 1] for k in range(top)] + [Fraction(0)]
+        row = [u + bk * r + d for u, bk, r, d in zip(up, b, row, down)]
+        coeffs.append(row[0])
+    return Series(coeffs)

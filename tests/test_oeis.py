@@ -7,6 +7,7 @@ import urllib.error
 import pytest
 
 from ec_riordan import Curve, derive_gamma, hankel_transform
+from ec_riordan.cli import main
 from ec_riordan.oeis import (
     BFile,
     OEISFormatError,
@@ -188,3 +189,19 @@ class TestCacheAndNetwork:
         assert again.values == (1, 1, 2, 3, 5)
         assert len(fetches) == 2
         assert [f.name for f in tmp_path.iterdir()] == ["A000041.txt"]
+
+    def test_non_utf8_bfile_is_a_format_error(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("EC_RIORDAN_CACHE", str(tmp_path))
+        monkeypatch.setattr(
+            "urllib.request.urlopen", lambda url, timeout: io.BytesIO(b"1 1\n2 \xff\n")
+        )
+        with pytest.raises(OEISFormatError):
+            load_bfile("A999999", cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+        # the CLI reports it as a lookup failure, exit code 3
+        assert main(["oeis", "-1", "-2", "-1", "A999999"]) == 3
+
+    def test_non_utf8_cache_file_is_a_format_error(self, tmp_path):
+        (tmp_path / "A999999.txt").write_bytes(b"0 1\n1 \xfe\n")
+        with pytest.raises(OEISFormatError):
+            load_bfile("A999999", cache_dir=tmp_path)

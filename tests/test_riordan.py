@@ -16,7 +16,6 @@ from ec_riordan import (
     derive_gamma,
     g_family_params,
     gamma_family_params,
-    identity_rows,
     orbit_shift,
     pseudo_involution_check,
     riordan_build,
@@ -126,14 +125,6 @@ class TestBuild:
         with pytest.raises(ValueError):
             riordan_build(Series.one(5), Series.one(5), 3)
 
-    def test_identity(self):
-        assert identity_rows(4) == [
-            [1],
-            [0, 1],
-            [0, 0, 1],
-            [0, 0, 0, 1],
-        ]
-
 
 class TestRecurrence:
     def test_matches_build_with_override(self):
@@ -169,30 +160,6 @@ class TestRecurrence:
                 assert rows[n][n - 1] == n * g1
 
 
-class TestProduct:
-    def test_identity_is_neutral(self):
-        g = derive_g(Curve(*E1), 10)
-        arr = riordan_build(g, g.shift_up(1).truncate(10), 8)
-        ident = RiordanArray(Series.one(10), Series.x(10), 8)
-        assert arr.multiply(ident).rows == arr.rows
-        assert ident.multiply(arr).rows == arr.rows
-
-    def test_group_product_equals_matrix_product(self):
-        rng = random.Random(27)
-        for _ in range(40):
-            order = 8
-            def rand_pair():
-                g = Series.poly(
-                    [1] + [F(rng.randint(-3, 3)) for _ in range(order - 1)], order
-                )
-                f = Series.poly(
-                    [0, 1] + [F(rng.randint(-3, 3)) for _ in range(order - 2)], order
-                )
-                return RiordanArray(g, f, 6)
-            one, two = rand_pair(), rand_pair()
-            assert one.multiply(two).rows == one.matmul_rows(two)
-
-
 class TestKernel:
     def test_holds_for_derived_series(self):
         rng = random.Random(28)
@@ -214,7 +181,44 @@ class TestKernel:
         assert not verify_kernel(bad.shift_up(1).truncate(10), am)
 
 
+def squares_to_identity(g, n_rows):
+    """Square the rows of (g, -x*g) as plain matrices, entry by entry."""
+    f = (-g).shift_up(1).truncate(g.order)
+    t = RiordanArray(g, f, n_rows).rows
+    square = [
+        [sum((t[i][k] * t[k][j] for k in range(j, i + 1)), F(0)) for j in range(i + 1)]
+        for i in range(n_rows)
+    ]
+    return square == [[F(int(i == j)) for j in range(i + 1)] for i in range(n_rows)]
+
+
 class TestPseudoInvolution:
+    def test_agrees_with_matrix_square(self):
+        for abc in [(3, 2, 2), (-1, 0, -1), (0, 0, 0), E1]:
+            gam = derive_gamma(Curve(*abc), 14)
+            assert pseudo_involution_check(gam, 12) == squares_to_identity(gam, 12)
+        assert squares_to_identity(derive_gamma(Curve(3, 2, 2), 14), 12)
+        assert not squares_to_identity(derive_gamma(Curve(*E1), 14), 12)
+
+    def test_agrees_with_matrix_square_on_random_g(self):
+        rng = random.Random(27)
+        verdicts = set()
+        for _ in range(60):
+            if rng.random() < 0.5:
+                # ac - b - c^2 = 0 makes the reduced series a pseudo-involution
+                a, c = rng.randint(-3, 3), rng.randint(-3, 3)
+                try:
+                    g = derive_gamma(Curve(a, a * c - c * c, c), 12)
+                except SingularCurveError:
+                    continue
+            else:
+                tail = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(11)]
+                g = Series([1] + tail)
+            verdict = pseudo_involution_check(g, 12)
+            assert verdict == squares_to_identity(g, 12)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
     def test_three_torsion_curves(self):
         for abc in [(3, 2, 2), (-1, 0, -1), (0, 0, 0)]:
             gam = derive_gamma(Curve(*abc), 14)

@@ -1,7 +1,10 @@
 """Hankel transforms, Somos-4 checks, and Jacobi continued fractions.
 
 The determinant oracle here is textbook cofactor expansion, written
-independently of the fraction-free elimination used by the library.
+independently of the fraction-free elimination used by the library.  The
+J-fraction oracle nests 1/(1 - b_j x - lambda_{j+1} x^2 * tail) from the
+bottom up by series division, independently of the path table the library
+runs.
 """
 
 import random
@@ -54,6 +57,22 @@ def hankel_by_cofactor(seq, count):
         matrix = [[seq[i + j] for j in range(n + 1)] for i in range(n + 1)]
         out.append(det_cofactor(matrix))
     return out
+
+
+def jfrac_by_division(b, lam, order):
+    tail = Series.one(order)
+    for j in range(len(b) - 1, -1, -1):
+        denom = Series.poly([1, -b[j]], order)
+        if j < len(lam):
+            denom = denom - (lam[j] * tail).shift_up(2)
+        tail = Series.one(order) / denom
+    return tail
+
+
+def random_rational(rng, zero_share=0.3):
+    if rng.random() < zero_share:
+        return F(0)
+    return F(rng.randint(-5, 5), rng.randint(1, 4))
 
 
 def random_curve(rng, span=4):
@@ -204,6 +223,40 @@ class TestJFractionExtract:
         jf = JFraction((F(1), F(1)), (F(1), F(1)))
         with pytest.raises(InsufficientDepthError):
             jfrac_eval(jf, 5)
+
+
+class TestJFractionPaths:
+    def test_eval_matches_division_oracle(self):
+        rng = random.Random(48)
+        for _ in range(200):
+            depth = rng.randint(0, 7)
+            b = tuple(random_rational(rng) for _ in range(depth + rng.randint(0, 1)))
+            lam = tuple(random_rational(rng) for _ in range(depth))
+            if depth:
+                order = rng.randint(1, 2 * depth)
+                got = jfrac_eval(JFraction(b, lam), order)
+                assert got == jfrac_by_division(b, lam, order)
+            got = jfrac_eval(JFraction(b, lam, exact=True), 12)
+            assert got == jfrac_by_division(b, lam, 12)
+
+    def test_extract_inverts_oracle(self):
+        rng = random.Random(49)
+        for _ in range(100):
+            depth = rng.randint(1, 6)
+            b = tuple(random_rational(rng) for _ in range(depth))
+            # extraction reaches the full depth only when no lambda vanishes
+            lam = tuple(random_rational(rng, 0) or F(1) for _ in range(depth))
+            jf = jfrac_extract(jfrac_by_division(b, lam, 2 * depth + 1), depth)
+            assert (jf.b, jf.lam) == (b, lam)
+
+    def test_deep_termination(self):
+        whole = JFraction((F(1), F(2), F(3)), (F(2), F(-1)), exact=True)
+        s = jfrac_eval(whole, 9)
+        assert s == jfrac_by_division(whole.b, whole.lam, 9)
+        jf = jfrac_extract(s, 4)
+        assert jf.b == (1, 2, 3)
+        assert jf.lam == (2, -1)
+        assert not jf.exact
 
 
 class TestJFractionFromPoints:

@@ -95,6 +95,8 @@ def _coefficient_sum(am: AMatrix, n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    alpha_pow = [am.alpha ** e for e in range(n + 1)]
+    beta_pow = [am.beta ** e for e in range(n // 2 + 1)]
     total = Fraction(0)
     for k in range(n // 3 + 1):
         cat = Fraction(math.comb(2 * k, k), k + 1)
@@ -103,16 +105,14 @@ def _coefficient_sum(am: AMatrix, n: int) -> Fraction:
             if gamma_pow == 0:
                 continue
             top = n - 3 * k - j
-            for i in range((top + 1) // 2, top + 1):
-                total += (
-                    math.comb(k + 1, j)
-                    * gamma_pow
-                    * math.comb(2 * k + i, i)
-                    * math.comb(i, top - i)
-                    * am.alpha ** (2 * i - top)
-                    * am.beta ** (top - i)
-                    * cat
-                )
+            inner = sum(
+                math.comb(2 * k + i, i)
+                * math.comb(i, top - i)
+                * alpha_pow[2 * i - top]
+                * beta_pow[top - i]
+                for i in range((top + 1) // 2, top + 1)
+            )
+            total += math.comb(k + 1, j) * gamma_pow * cat * inner
     return total
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -157,16 +157,7 @@ class Series:
     def __mul__(self, other: Union["Series", Rat]) -> "Series":
         if isinstance(other, Series):
             n = min(self.order, other.order)
-            a, b = self._coeffs, other._coeffs
-            out = [Fraction(0)] * n
-            for i in range(n):
-                ai = a[i]
-                if ai == 0:
-                    continue
-                for j in range(n - i):
-                    if b[j] != 0:
-                        out[i + j] += ai * b[j]
-            return Series(out)
+            return Series(_mul(self._coeffs, other._coeffs, n))
         w = _rat(other)
         return Series([c * w for c in self._coeffs])
 
@@ -230,34 +221,56 @@ class Series:
         return Series(r)
 
     def compose(self, inner: "Series") -> "Series":
-        """f(g(x)) for g with g(0) = 0, by Horner evaluation."""
+        """f(g(x)) for g with g(0) = 0, by Horner evaluation.
+
+        With v the valuation of g (its lowest nonzero power) and
+        h = g/x^v, f(g) = sum_k f_k x^(kv) h^k, so only the terms
+        k <= (n-1)//v reach order n.  Horner's rule runs over those alone,
+        and step k keeps n - k*v coefficients: acc_k = f_k + x^v h acc_(k+1).
+        """
         if inner._coeffs[0] != 0:
             raise NonzeroInnerConstantError("composition needs inner constant term 0")
         n = min(self.order, inner.order)
-        g = inner.truncate(n)
-        acc = Series.poly([self._coeffs[n - 1]], n)
-        for k in range(n - 2, -1, -1):
-            acc = acc * g + self._coeffs[k]
-        return acc
+        v = next((i for i in range(1, n) if inner._coeffs[i] != 0), n)
+        h = inner._coeffs[v:n]
+        top = (n - 1) // v
+        acc = [self._coeffs[top]] + [Fraction(0)] * (n - top * v - 1)
+        for k in range(top - 1, -1, -1):
+            acc = [self._coeffs[k]] + [Fraction(0)] * (v - 1) + _mul(acc, h, len(acc))
+        return Series(acc)
 
     def revert(self) -> "Series":
         """The compositional inverse of f, for f(0) = 0, f'(0) = 1.
 
         Lagrange inversion: with phi = x/f, the inverse u has
-        u_n = [x^(n-1)] phi^n / n.  Exact, and it keeps the full order.
+        u_k = [x^(k-1)] phi^k / k.  Exact, and it keeps the full order.
+        The powers come baby-step/giant-step (F. Johansson, "A fast
+        algorithm for reversion of power series", Math. Comp. 84, 2015):
+        with m = isqrt(n-1), the baby powers phi^0..phi^(m-1) and the giant
+        powers phi^(qm) give each phi^(qm+r) coefficient as one dot product,
+        so about 2*sqrt(n) full products replace n-2.
         """
         if self.order < 2:
             raise InsufficientOrderError("reversion needs order >= 2")
         if self._coeffs[0] != 0 or self._coeffs[1] != 1:
             raise NotRevertibleError("reversion needs f(0) = 0 and f'(0) = 1")
         n = self.order
-        phi = Series.one(n - 1) / self.shift_down(1)
+        size = n - 1  # phi is known to order n-1
+        phi = (Series.one(size) / self.shift_down(1))._coeffs
+        m = math.isqrt(size)
+        powers = [[Fraction(1)] + [Fraction(0)] * (size - 1), phi]
+        while len(powers) <= m:
+            powers.append(_mul(powers[-1], phi, size))
+        baby, step = powers[:m], powers[m]
+        giant = [powers[0], step]
+        while len(giant) <= size // m:
+            giant.append(_mul(giant[-1], step, size))
         u = [Fraction(0)] * n
         u[1] = Fraction(1)
-        power = phi
         for k in range(2, n):
-            power = power * phi
-            u[k] = power[k - 1] / k
+            q, r = divmod(k, m)
+            pairs = zip(baby[r][:k], reversed(giant[q][:k]))
+            u[k] = sum((a * b for a, b in pairs if a != 0), Fraction(0)) / k
         return Series(u)
 
     def binomial(self, r: Rat) -> "Series":
@@ -278,6 +291,21 @@ class Series:
                 p *= w
             out.append(acc)
         return Series(out)
+
+
+def _mul(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]:
+    """The first n coefficients of the product of coefficient lists a and b."""
+    nonzero = [(j, c) for j, c in enumerate(b[:n]) if c != 0]
+    out = [Fraction(0)] * n
+    for i in range(n):
+        ai = a[i]
+        if ai == 0:
+            continue
+        for j, c in nonzero:
+            if i + j >= n:
+                break
+            out[i + j] += ai * c
+    return out
 
 
 def _div(f: Series, g: Series) -> Series:

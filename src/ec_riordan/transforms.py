@@ -73,7 +73,13 @@ def _bareiss_det(matrix: list[list[Fraction]]) -> Fraction:
 
 
 def hankel_transform(seq: Sequence[Rat], count: int) -> list[Fraction]:
-    """h_n = det(a_{i+j})_{0<=i,j<=n} for n = 0 .. count-1."""
+    """h_n = det(a_{i+j})_{0<=i,j<=n} for n = 0 .. count-1.
+
+    One pivot-free Bareiss pass over the count x count Hankel matrix gives
+    them all: its k-th pivot is the leading (k+1) x (k+1) minor, h_k
+    (Bareiss 1968).  The pass stops at the first zero pivot, and each
+    later h_n is then a separate determinant with row pivoting.
+    """
     terms = [Fraction(t) for t in seq]
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -81,9 +87,21 @@ def hankel_transform(seq: Sequence[Rat], count: int) -> list[Fraction]:
         raise InsufficientTermsError(
             f"{count} Hankel terms need {2 * count - 1} sequence terms, got {len(terms)}"
         )
+    m = [terms[i : i + count] for i in range(count)]
     out = []
-    for n in range(count):
-        matrix = [[terms[i + j] for j in range(n + 1)] for i in range(n + 1)]
+    prev = Fraction(1)
+    for k in range(count):
+        pivot = m[k][k]
+        out.append(pivot)
+        if pivot == 0:
+            break
+        for row in m[k + 1 :]:
+            rk = row[k]
+            for j in range(k + 1, count):
+                row[j] = (row[j] * pivot - rk * m[k][j]) / prev
+        prev = pivot
+    for n in range(len(out), count):
+        matrix = [terms[i : i + n + 1] for i in range(n + 1)]
         out.append(_bareiss_det(matrix))
     return out
 
@@ -183,6 +201,13 @@ class JFraction:
     b: tuple[Fraction, ...]
     lam: tuple[Fraction, ...]
     exact: bool = False
+
+    def __post_init__(self) -> None:
+        if len(self.b) not in (len(self.lam), len(self.lam) + 1):
+            raise ValueError(
+                f"a depth-{self.depth} J-fraction needs {self.depth} or "
+                f"{self.depth + 1} b values, got {len(self.b)}"
+            )
 
     @property
     def depth(self) -> int:

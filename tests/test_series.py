@@ -2,7 +2,9 @@
 
 Expected coefficient lists are computed by hand from the defining
 recurrences (geometric series, binomial series, Catalan recurrence) or by
-inverting the operation being tested.
+inverting the operation being tested.  Composition and reversion are also
+compared with the plain algorithms: Horner's rule at full order, and
+Lagrange inversion through every power of phi.
 """
 
 import random
@@ -23,6 +25,32 @@ from ec_riordan import (
 
 def geometric(order):
     return Series.one(order) / Series.poly([1, -1], order)
+
+
+def compose_by_horner(f, g):
+    n = min(f.order, g.order)
+    g = g.truncate(n)
+    acc = Series.poly([f[n - 1]], n)
+    for k in range(n - 2, -1, -1):
+        acc = acc * g + f[k]
+    return acc
+
+
+def revert_by_every_power(f):
+    n = f.order
+    phi = Series.one(n - 1) / f.shift_down(1)
+    u = [F(0), F(1)]
+    power = phi
+    for k in range(2, n):
+        power = power * phi
+        u.append(power[k - 1] / k)
+    return Series(u)
+
+
+def random_rational(rng, zero_share=0.3):
+    if rng.random() < zero_share:
+        return F(0)
+    return F(rng.randint(-4, 4), rng.randint(1, 3))
 
 
 class TestConstruction:
@@ -145,6 +173,26 @@ class TestCompose:
         with pytest.raises(NonzeroInnerConstantError):
             geometric(4).compose(Series.one(4))
 
+    def test_matches_full_order_horner(self):
+        rng = random.Random(606)
+        for _ in range(300):
+            valuation = rng.randint(1, 6)
+            outer = Series([random_rational(rng) for _ in range(rng.randint(1, 16))])
+            inner = Series.poly(
+                [0] * valuation
+                + [random_rational(rng, 0) or F(1)]
+                + [random_rational(rng) for _ in range(15)],
+                rng.randint(1, 16),
+            )
+            assert outer.compose(inner) == compose_by_horner(outer, inner)
+
+    def test_zero_inner_series(self):
+        outer = Series.poly([3, 1, 4, 1, 5], 5)
+        for order in (1, 4, 7):
+            zero = Series.poly([0], order)
+            assert outer.compose(zero) == compose_by_horner(outer, zero)
+            assert outer.compose(zero) == Series.poly([3], min(5, order))
+
 
 class TestRevert:
     def test_catalan_from_quadratic(self):
@@ -174,6 +222,18 @@ class TestRevert:
                 order,
             )
             assert f.revert().revert() == f
+
+    def test_matches_every_power_oracle(self):
+        # every order 2..40, so every n with n - 1 a perfect square, where
+        # the baby-step size isqrt(n - 1) changes
+        rng = random.Random(707)
+        for order in range(2, 41):
+            for _ in range(2):
+                f = Series.poly(
+                    [0, 1] + [random_rational(rng, 0.4) for _ in range(order - 2)],
+                    order,
+                )
+                assert f.revert() == revert_by_every_power(f)
 
     def test_compose_with_reverse_is_identity(self):
         rng = random.Random(404)

@@ -104,6 +104,31 @@ class TestHankel:
         with pytest.raises(InsufficientTermsError):
             hankel_transform([1, 2, 3], 3)
 
+    def test_vanishing_minors_against_cofactor_oracle(self):
+        # a leading minor that vanishes first, in the middle and last
+        first = [F(0)] + [F(v) for v in range(1, 13)]
+        ones = [F(1)] * 13
+        torsion = derive_g(Curve(3, 2, 2), 13).coefficients()
+        last = catalan_gf(13).coefficients()
+        last[12] -= 1  # h_6 is affine in a_12 with slope h_5 = 1
+        for seq in (first, ones, torsion, last):
+            assert hankel_transform(seq, 7) == hankel_by_cofactor(seq, 7)
+        assert hankel_transform(first, 7)[0] == 0
+        assert hankel_transform(ones, 7) == [1] + [0] * 6
+        assert hankel_transform(torsion, 7)[:3] == [1, 0, -1]
+        assert hankel_transform(last, 7) == [1] * 6 + [0]
+
+    def test_zero_pivot_fallback_against_cofactor_oracle(self):
+        rng = random.Random(44)
+        recovered = 0
+        for _ in range(200):
+            seq = [random_rational(rng, 0.5) for _ in range(11)]
+            h = hankel_transform(seq, 6)
+            assert h == hankel_by_cofactor(seq, 6)
+            zero = h.index(0) if 0 in h else len(h)
+            recovered += any(h[zero + 1 :])
+        assert recovered > 20  # nonzero minors after a zero pivot
+
     def test_binomial_invariance(self):
         rng = random.Random(42)
         for _ in range(110):
@@ -248,6 +273,13 @@ class TestJFractionPaths:
             lam = tuple(random_rational(rng, 0) or F(1) for _ in range(depth))
             jf = jfrac_extract(jfrac_by_division(b, lam, 2 * depth + 1), depth)
             assert (jf.b, jf.lam) == (b, lam)
+
+    def test_shape_is_checked(self):
+        with pytest.raises(ValueError):
+            JFraction((), (F(1), F(2)), exact=True)
+        with pytest.raises(ValueError):
+            JFraction((F(1),) * 4, (F(1), F(2)))
+        assert JFraction((F(1),) * 3, (F(1), F(2))).depth == 2
 
     def test_deep_termination(self):
         whole = JFraction((F(1), F(2), F(3)), (F(2), F(-1)), exact=True)

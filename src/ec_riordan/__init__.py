@@ -3,7 +3,8 @@ the power series their branches generate, and the Riordan arrays, lattice
 paths, Hankel transforms, Somos sequences and continued fractions that all
 turn out to encode the same data.
 
-Everything runs over Fraction.  No floats, no tolerances.
+Everything is exact: results are Fractions, computed on Fractions or on
+integers over a known common denominator.  No floats, no tolerances.
 """
 
 from .series import (

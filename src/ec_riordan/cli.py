@@ -37,7 +37,7 @@ from .series import Series
 from .transforms import (
     TorsionDepthError,
     ZeroXCoordinateError,
-    hankel_point_product,
+    _point_products,
     hankel_transform,
     jfrac_extract,
     jfrac_from_points,
@@ -172,7 +172,7 @@ def _cmd_hankel(args, curve: Curve):
     sv = somos_verify(h, sp) if count >= 5 else None
     code = 0 if (sv is None or sv) else 1
     try:
-        prod = [hankel_point_product(curve, n) for n in range(count)]
+        prod = _point_products(curve, count)
         same = prod == h
         product_note = f"point product: {'agrees' if same else 'MISMATCH'}"
         if not same:

@@ -1,15 +1,17 @@
 """The derivation pipeline from curve parameters to series and arrays.
 
-From the curve's series branch y1 the chain is
+From the curve's series branch y1 the paper's chain is
 
-    z = (y1 - c*x)/x^2,   G = x/(1 - x - x^2 z),
-    f = revert(G),        g = f/x,
+    z = (y1 - c*x)/x^2,   G = x/(1 - x - x^2 z),   g = revert(G)/x,
 
 followed by gamma = binomial transform of g with parameter a - 2c + 1.
+derive_g computes it on integers, scaled by d, the lcm of the
+denominators of a, b and c: y1(dx) by a recurrence from the curve
+equation, and g by Lagrange inversion of the denominator of G at dx.
 Both series also have closed forms over the A-matrix parameters via the
 Catalan generating function, and explicit double/triple-sum coefficient
-formulas.  full_verify runs every route on one curve and cross-checks them
-with exact arithmetic.
+formulas.  full_verify runs every route on one curve and cross-checks
+them with exact arithmetic.
 """
 
 from __future__ import annotations
@@ -27,13 +29,13 @@ from .riordan import (
     riordan_build,
 )
 from .paths import dp_count, stepset_for_g, stepset_for_gamma
-from .series import Series, catalan_gf
+from .series import Series, _lagrange_coeffs, catalan_gf
 from .transforms import (
     TorsionDepthError,
     ZeroXCoordinateError,
+    _jfrac_from_multiples,
     hankel_transform,
     jfrac_eval,
-    jfrac_from_points,
     somos_params,
     somos_params_from_amatrix,
     somos_verify,
@@ -43,16 +45,27 @@ from .transforms import (
 def derive_g(curve: Curve, order: int) -> Series:
     """The reverted generating function g, with exactly `order` coefficients.
 
-    g always expands 1, -1, ... in this curve family.
+    With d the lcm of the denominators of a, b and c, Y(x) = y1(dx) is an
+    integer series: the curve equation gives it by the fixed-point
+    recurrence Y (1 + A x) = Y^2 + C x + B x^2 - d^3 x^3, with A = a d,
+    B = b d^2 and C = c d.  G = x/phi(x), where
+    phi = 1 - x - x^2 z = 1 - x - (y1 - c x), and phi(dx) =
+    1 - d x - sum_{k>=2} Y_k x^k.  Lagrange inversion then gives
+    g_k = [x^k] phi(dx)^(k+1) / ((k+1) d^k), exact whatever the
+    integrality.  g always expands 1, -1, ... in this curve family.
     """
     if order < 1:
         raise ValueError("order must be positive")
-    work = max(order, 3)  # the z series needs at least one coefficient
-    y1, _ = curve.solve_y(work)
-    z = (y1 - curve.c * Series.x(work)).shift_down(2)
-    denom = Series.one(work) - Series.x(work) - z.shift_up(2)
-    big_g = (Series.one(work) / denom).shift_up(1)
-    return big_g.revert().shift_down(1).truncate(order)
+    d = math.lcm(curve.a.denominator, curve.b.denominator, curve.c.denominator)
+    big_a = int(curve.a * d)
+    forcing = [0, int(curve.c * d), int(curve.b * d * d), -(d**3)] + [0] * order
+    y = [0] * order
+    for n in range(1, order):
+        square = sum(y[i] * y[n - i] for i in range(1, n))
+        y[n] = square - big_a * y[n - 1] + forcing[n]
+    phi = ([1, -d] + [-v for v in y[2:]])[:order]
+    coeffs = _lagrange_coeffs(phi, order)
+    return Series(Fraction(c, k * d ** (k - 1)) for k, c in enumerate(coeffs, 1))
 
 
 def amatrix_gf(am: AMatrix, order: int) -> Series:
@@ -86,22 +99,28 @@ def closed_form_gamma(curve: Curve, order: int) -> Series:
 def _coefficient_sum(am: AMatrix, n: int) -> Fraction:
     """[x^n] amatrix_gf(am) by the closed triple sum over its parameters.
 
-    sum_{k=0}^{n} sum_{j=0}^{k+1} C(k+1,j) gamma^j
-        sum_i C(2k+i,i) C(i, n-3k-i-j) alpha^(2i+3k+j-n) beta^(n-3k-i-j) Cat_k.
+    sum_{k=0}^{n} delta^k Cat_k sum_{j=0}^{k+1} C(k+1,j) gamma^j
+        sum_i C(2k+i,i) C(i, n-3k-i-j) alpha^(2i+3k+j-n) beta^(n-3k-i-j).
 
     With top = n-3k-j, C(i, top-i) is nonzero only for top/2 <= i <= top,
     so the loops run over exactly those terms and the alpha exponent
-    2i - top is never negative.
+    2i - top is never negative.  The sum runs on integers: with d the lcm
+    of the parameter denominators, alpha d, beta d^2, gamma d and
+    delta d^3 are integers, and every term has weight n in them, so the
+    scaled sum is d^n times the rational one.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    alpha_pow = [am.alpha ** e for e in range(n + 1)]
-    beta_pow = [am.beta ** e for e in range(n // 2 + 1)]
-    total = Fraction(0)
+    params = (am.alpha, am.beta, am.gamma, am.delta)
+    d = math.lcm(*(v.denominator for v in params))
+    alpha, beta, gamma, delta = (int(v * d**w) for v, w in zip(params, (1, 2, 1, 3)))
+    alpha_pow = [alpha**e for e in range(n + 1)]
+    beta_pow = [beta**e for e in range(n // 2 + 1)]
+    total = 0
     for k in range(n // 3 + 1):
-        cat = Fraction(math.comb(2 * k, k), k + 1)
+        cat = math.comb(2 * k, k) // (k + 1) * delta**k
         for j in range(min(k + 1, n - 3 * k) + 1):
-            gamma_pow = am.gamma ** j
+            gamma_pow = gamma**j
             if gamma_pow == 0:
                 continue
             top = n - 3 * k - j
@@ -113,7 +132,7 @@ def _coefficient_sum(am: AMatrix, n: int) -> Fraction:
                 for i in range((top + 1) // 2, top + 1)
             )
             total += math.comb(k + 1, j) * gamma_pow * cat * inner
-    return total
+    return Fraction(total, d**n)
 
 
 def g_coefficient_formula(curve: Curve, n: int) -> Fraction:
@@ -255,7 +274,7 @@ def full_verify(curve: Curve, order: int = 24) -> VerifyReport:
             )
             continue
         try:
-            jf = jfrac_from_points(curve, jf_shift, depth)
+            jf = _jfrac_from_multiples(curve, pts, jf_shift, depth)
         except (TorsionDepthError, ZeroXCoordinateError) as exc:
             checks.append(CheckResult(name, True, f"skipped: {exc}"))
             continue

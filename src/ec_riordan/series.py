@@ -244,59 +244,48 @@ class Series:
 
         Lagrange inversion: with phi = x/f, the inverse u has
         u_k = [x^(k-1)] phi^k / k.  Exact, and it keeps the full order.
-        The powers come baby-step/giant-step (F. Johansson, "A fast
-        algorithm for reversion of power series", Math. Comp. 84, 2015):
-        with m = isqrt(n-1), the baby powers phi^0..phi^(m-1) and the giant
-        powers phi^(qm) give each phi^(qm+r) coefficient as one dot product,
-        so about 2*sqrt(n) full products replace n-2.
         """
         if self.order < 2:
             raise InsufficientOrderError("reversion needs order >= 2")
         if self._coeffs[0] != 0 or self._coeffs[1] != 1:
             raise NotRevertibleError("reversion needs f(0) = 0 and f'(0) = 1")
-        n = self.order
-        size = n - 1  # phi is known to order n-1
+        size = self.order - 1  # phi = x/f is known to one order less than f
         phi = (Series.one(size) / self.shift_down(1))._coeffs
-        m = math.isqrt(size)
-        powers = [[Fraction(1)] + [Fraction(0)] * (size - 1), phi]
-        while len(powers) <= m:
-            powers.append(_mul(powers[-1], phi, size))
-        baby, step = powers[:m], powers[m]
-        giant = [powers[0], step]
-        while len(giant) <= size // m:
-            giant.append(_mul(giant[-1], step, size))
-        u = [Fraction(0)] * n
-        u[1] = Fraction(1)
-        for k in range(2, n):
-            q, r = divmod(k, m)
-            pairs = zip(baby[r][:k], reversed(giant[q][:k]))
-            u[k] = sum((a * b for a, b in pairs if a != 0), Fraction(0)) / k
-        return Series(u)
+        coeffs = _lagrange_coeffs(phi, size)
+        return Series([0] + [Fraction(c, k) for k, c in enumerate(coeffs, 1)])
 
     def binomial(self, r: Rat) -> "Series":
         """The binomial transform with parameter r.
 
         b_n = sum_k C(n, k) r^(n-k) a_k, equivalently
-        (1/(1-rx)) * f(x/(1-rx)).  Order is preserved.
+        (1/(1-rx)) * f(x/(1-rx)).  Order is preserved.  With r = p/q and
+        L the lcm of the coefficient denominators, A_k = L a_k are integers
+        and b_n = sum_k C(n, k) p^(n-k) q^k A_k / (q^n L): one integer sum
+        and one Fraction per coefficient.
         """
         w = _rat(r)
-        n = self.order
+        p, q = w.numerator, w.denominator
+        den = math.lcm(*(c.denominator for c in self._coeffs))
+        scaled = [
+            q**k * c.numerator * (den // c.denominator)
+            for k, c in enumerate(self._coeffs)
+        ]
+        p_pow = [p**e for e in range(self.order)]
         out = []
-        for m in range(n):
-            acc = Fraction(0)
-            p = Fraction(1)  # r^(m-k) built from the top down
-            for k in range(m, -1, -1):
-                if self._coeffs[k] != 0:
-                    acc += math.comb(m, k) * p * self._coeffs[k]
-                p *= w
-            out.append(acc)
+        for m in range(self.order):
+            terms = enumerate(scaled[: m + 1])
+            acc = sum(math.comb(m, k) * p_pow[m - k] * a for k, a in terms if a)
+            out.append(Fraction(acc, q**m * den))
         return Series(out)
 
 
-def _mul(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]:
-    """The first n coefficients of the product of coefficient lists a and b."""
+def _mul(a: Sequence[Rat], b: Sequence[Rat], n: int) -> list[Rat]:
+    """The first n coefficients of the product of coefficient lists a and b.
+
+    The lists may hold ints or Fractions; untouched entries stay int 0.
+    """
     nonzero = [(j, c) for j, c in enumerate(b[:n]) if c != 0]
-    out = [Fraction(0)] * n
+    out: list[Rat] = [0] * n
     for i in range(n):
         ai = a[i]
         if ai == 0:
@@ -305,6 +294,33 @@ def _mul(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]
             if i + j >= n:
                 break
             out[i + j] += ai * c
+    return out
+
+
+def _lagrange_coeffs(phi: Sequence[Rat], count: int) -> list[Rat]:
+    """[x^(k-1)] phi^k for k = 1..count, from the first count coefficients of phi.
+
+    These are the Lagrange inversion numerators of x/phi.  The powers come
+    baby-step/giant-step (F. Johansson, "A fast algorithm for reversion of
+    power series", Math. Comp. 84, 2015): with m = isqrt(count), the baby
+    powers phi^0..phi^(m-1) and the giant powers phi^(qm) give each
+    phi^(qm+r) coefficient as one dot product, so about 2*sqrt(count)
+    truncated products replace count-1.  Exact on ints and Fractions alike.
+    """
+    phi = list(phi[:count])
+    m = math.isqrt(count)
+    powers = [[1] + [0] * (count - 1), phi]
+    while len(powers) <= m:
+        powers.append(_mul(powers[-1], phi, count))
+    baby, step = powers[:m], powers[m]
+    giant = [powers[0], step]
+    while len(giant) <= count // m:
+        giant.append(_mul(giant[-1], step, count))
+    out = []
+    for k in range(1, count + 1):
+        q, r = divmod(k, m)
+        pairs = zip(baby[r][:k], reversed(giant[q][:k]))
+        out.append(sum(x * y for x, y in pairs if x != 0))
     return out
 
 

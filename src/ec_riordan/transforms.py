@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .curve import Curve
+from .curve import Curve, Point
 from .series import Rat, Series
 
 
@@ -106,23 +106,37 @@ def hankel_transform(seq: Sequence[Rat], count: int) -> list[Fraction]:
     return out
 
 
+def _point_products(curve: Curve, count: int) -> list[Fraction]:
+    """hankel_point_product for n = 0 .. count-1 from one list of multiples.
+
+    Consecutive terms differ by one running product:
+    h_n = h_(n-1) * prod_{k<n} (-x([(k+2)]P)).  Raises TorsionDepthError
+    at the first n whose [(n+2)]P is not affine.
+    """
+    pts = curve.multiples(count + 1)
+    out: list[Fraction] = []
+    h = run = Fraction(1)
+    for n in range(count):
+        if n + 1 >= len(pts) or pts[n + 1].is_infinity:
+            raise TorsionDepthError(
+                f"h_{n} needs [{n + 2}]P affine but the base point has finite order"
+            )
+        if n:
+            run *= -pts[n].x  # the (n+1)-th multiple
+            h *= run
+        out.append(h)
+    return out
+
+
 def hankel_point_product(curve: Curve, n: int) -> Fraction:
     """The closed-form Hankel term h_n = prod_{k=0}^{n} (-x([(k+2)]P))^(n-k).
 
-    Needs the multiples up to (n+2)P to be affine.
+    Needs the multiples up to (n+2)P to be affine; on a torsion point the
+    error names the first index that cannot be formed.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    pts = curve.multiples(n + 2)
-    if len(pts) < n + 2 or pts[-1].is_infinity:
-        raise TorsionDepthError(
-            f"h_{n} needs [{n + 2}]P affine but the base point has finite order"
-        )
-    acc = Fraction(1)
-    for k in range(n + 1):
-        pt = pts[k + 1]  # (k+2)-th multiple
-        acc *= (-pt.x) ** (n - k)
-    return acc
+    return _point_products(curve, n + 1)[-1]
 
 
 # -- Somos-4 -----------------------------------------------------------------
@@ -269,7 +283,16 @@ def jfrac_from_points(curve: Curve, shift: Rat, depth: int) -> JFraction:
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    pts = curve.multiples(depth + 1)
+    return _jfrac_from_multiples(curve, curve.multiples(depth + 1), shift, depth)
+
+
+def _jfrac_from_multiples(
+    curve: Curve, pts: Sequence[Point], shift: Rat, depth: int
+) -> JFraction:
+    """jfrac_from_points on multiples already computed: pts is
+    curve.multiples(m) for some m, and only its first depth + 1 entries
+    are read."""
+    pts = pts[: depth + 1]
     if len(pts) < depth + 1 or pts[-1].is_infinity:
         raise TorsionDepthError(
             f"depth {depth} needs [{depth + 1}]P affine but the base point has finite order"
@@ -291,7 +314,9 @@ def jfrac_eval(jf: JFraction, order: int) -> Series:
 
     Column 0 of the path table, on paths of height <= depth (b_k = 0 past
     the given b).  A depth-d fraction justifies order <= 2d (terminating
-    fractions are exact at any order).
+    fractions are exact at any order).  Row n is kept only at heights
+    k <= order - 1 - n: a path higher than that cannot return to height 0
+    by the last row.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -303,9 +328,12 @@ def jfrac_eval(jf: JFraction, order: int) -> Series:
     b = jf.b + (Fraction(0),) * (top + 1 - len(jf.b))
     row = [Fraction(1)] + [Fraction(0)] * top
     coeffs = [row[0]]
-    for _ in range(1, order):
-        up = [Fraction(0)] + row[:-1]
-        down = [jf.lam[k] * row[k + 1] for k in range(top)] + [Fraction(0)]
-        row = [u + bk * r + d for u, bk, r, d in zip(up, b, row, down)]
+    for n in range(1, order):
+        prev = row
+        row = [b[k] * prev[k] for k in range(min(top, order - 1 - n) + 1)]
+        for k in range(1, len(row)):
+            row[k] += prev[k - 1]
+        for k in range(min(len(row), len(prev) - 1)):
+            row[k] += jf.lam[k] * prev[k + 1]
         coeffs.append(row[0])
     return Series(coeffs)

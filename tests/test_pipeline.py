@@ -1,5 +1,13 @@
-"""The derivation chain and the cross-checking report."""
+"""The derivation chain and the cross-checking report.
 
+The library derives g on integers (the curve branch by a fixed-point
+recurrence, then Lagrange inversion of the kernel denominator) and sums
+the coefficient formula on one common denominator.  The oracles here are
+the plain Fraction routes: the series square root, division and
+reversion, and the triple sum term by term.
+"""
+
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,6 +16,7 @@ import pytest
 from ec_riordan import (
     AMatrix,
     Curve,
+    Series,
     SingularCurveError,
     amatrix_gf,
     closed_form_g,
@@ -17,7 +26,11 @@ from ec_riordan import (
     full_verify,
     g_coefficient_formula,
     gamma_coefficient_formula,
+    g_family_params,
+    gamma_family_params,
 )
+from ec_riordan.pipeline import _coefficient_sum
+from test_series import binomial_by_terms
 
 E1 = (-1, -2, -1)
 EX2 = (-2, -5, 1)
@@ -32,6 +45,59 @@ def random_curve(rng, span=4):
             return Curve(*(rng.randint(-span, span) for _ in range(3)))
         except SingularCurveError:
             continue
+
+
+def random_rational_curve(rng):
+    """a, b, c = n/d with |n| <= 4 and d <= 5."""
+    while True:
+        try:
+            return Curve(*(F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(3)))
+        except SingularCurveError:
+            continue
+
+
+def derive_g_by_reversion(curve, order):
+    """g by the Fraction route: y1 from the series square root, then
+    G = x/(1 - x - x^2 z) with z = (y1 - c x)/x^2, and g = revert(G)/x."""
+    work = max(order, 3)  # the z series needs at least one coefficient
+    y1, _ = curve.solve_y(work)
+    z = (y1 - curve.c * Series.x(work)).shift_down(2)
+    denom = Series.one(work) - Series.x(work) - z.shift_up(2)
+    big_g = (Series.one(work) / denom).shift_up(1)
+    return big_g.revert().shift_down(1).truncate(order)
+
+
+def coefficient_sum_by_fractions(am, n):
+    """The triple sum of _coefficient_sum, every term a Fraction."""
+    total = F(0)
+    for k in range(n // 3 + 1):
+        cat = F(math.comb(2 * k, k), k + 1) * am.delta**k
+        for j in range(min(k + 1, n - 3 * k) + 1):
+            top = n - 3 * k - j
+            for i in range((top + 1) // 2, top + 1):
+                total += (
+                    math.comb(k + 1, j)
+                    * am.gamma**j
+                    * cat
+                    * math.comb(2 * k + i, i)
+                    * math.comb(i, top - i)
+                    * am.alpha ** (2 * i - top)
+                    * am.beta ** (top - i)
+                )
+    return total
+
+
+WORKED = [Curve(3, 2, 2), Curve(F(1, 2), F(-1, 3), F(2, 5))]
+
+
+def oracle_curves():
+    """The worked curves, then 60 fixed-seed rational curves, each with
+    an order drawn from 4..40."""
+    rng = random.Random(61)
+    yield WORKED[0], 24
+    yield WORKED[1], 40
+    for _ in range(60):
+        yield random_rational_curve(rng), rng.randint(4, 40)
 
 
 class TestDeriveG:
@@ -59,6 +125,18 @@ class TestDeriveG:
             cur = random_curve(rng)
             assert derive_g(cur, 14) == closed_form_g(cur, 14)
 
+    def test_matches_reversion_oracle(self):
+        for cur, order in oracle_curves():
+            for n in (1, 2, 3, order):
+                assert derive_g(cur, n) == derive_g_by_reversion(cur, n), (cur.to_dict(), n)
+
+    def test_rational_denominators_divide_d_power(self):
+        # g(dx) is an integer series: g_k d^k is an integer.  By hand from
+        # the kernel recurrence, g_2 = beta - alpha = -49/150 + 17/10.
+        g = derive_g(WORKED[1], 20)
+        assert g[2] == F(103, 75)
+        assert all((g[k] * 30**k).denominator == 1 for k in range(20))
+
 
 class TestDeriveGamma:
     def test_worked_curve(self):
@@ -71,6 +149,12 @@ class TestDeriveGamma:
             cur = random_curve(rng)
             shift = cur.a - 2 * cur.c + 1
             assert derive_gamma(cur, 12) == derive_g(cur, 12).binomial(shift)
+
+    def test_binomial_matches_term_oracle(self):
+        for cur, order in oracle_curves():
+            g = derive_g(cur, order)
+            for r in (cur.a - 2 * cur.c + 1, 0, -2, F(-3, 4)):
+                assert g.binomial(r) == binomial_by_terms(g, r)
 
     def test_closed_form_agreement(self):
         rng = random.Random(54)
@@ -110,6 +194,26 @@ class TestCoefficientFormulas:
                 assert g_coefficient_formula(cur, n) == g[n]
                 assert gamma_coefficient_formula(cur, n) == gam[n]
 
+    def test_matches_fraction_sum_oracle(self):
+        for cur, order in oracle_curves():
+            for am in (
+                g_family_params(cur.a, cur.b, cur.c),
+                gamma_family_params(cur.a, cur.b, cur.c),
+            ):
+                for n in range(min(order, 16)):
+                    assert _coefficient_sum(am, n) == coefficient_sum_by_fractions(am, n)
+
+    def test_sum_matches_closed_form_for_any_delta(self):
+        rng = random.Random(56)
+        for _ in range(40):
+            am = AMatrix.of(
+                *(F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(3)),
+                F(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3)),
+            )
+            s = amatrix_gf(am, 12)
+            assert [_coefficient_sum(am, n) for n in range(12)] == s.coefficients()
+            assert _coefficient_sum(am, 11) == coefficient_sum_by_fractions(am, 11)
+
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             g_coefficient_formula(Curve(*E1), -1)
@@ -134,3 +238,15 @@ class TestFullVerify:
     def test_order_guard(self):
         with pytest.raises(ValueError):
             full_verify(Curve(*E1), order=4)
+
+    def test_multiples_computed_once(self, monkeypatch):
+        calls = []
+        original = Curve.multiples
+
+        def counting(self, n_max):
+            calls.append(n_max)
+            return original(self, n_max)
+
+        monkeypatch.setattr(Curve, "multiples", counting)
+        assert full_verify(Curve(*E1), order=20).all_pass
+        assert calls == [10]

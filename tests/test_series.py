@@ -4,9 +4,12 @@ Expected coefficient lists are computed by hand from the defining
 recurrences (geometric series, binomial series, Catalan recurrence) or by
 inverting the operation being tested.  Composition and reversion are also
 compared with the plain algorithms: Horner's rule at full order, and
-Lagrange inversion through every power of phi.
+Lagrange inversion through every power of phi.  The binomial transform,
+which runs on one common denominator, is compared with its defining sum
+taken term by term in Fractions.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -45,6 +48,17 @@ def revert_by_every_power(f):
         power = power * phi
         u.append(power[k - 1] / k)
     return Series(u)
+
+
+def binomial_by_terms(f, r):
+    """b_n = sum_k C(n, k) r^(n-k) a_k, every term a Fraction."""
+    r = F(r)
+    return Series(
+        [
+            sum((math.comb(m, k) * r ** (m - k) * f[k] for k in range(m + 1)), F(0))
+            for m in range(f.order)
+        ]
+    )
 
 
 def random_rational(rng, zero_share=0.3):
@@ -258,6 +272,16 @@ class TestBinomial:
             r = F(rng.randint(-4, 4), rng.randint(1, 3))
             s = Series.poly([F(rng.randint(-5, 5)) for _ in range(order)], order)
             assert s.binomial(r).binomial(-r) == s
+
+    def test_matches_term_oracle(self):
+        # r = 0, negative, non-integer and negative non-integer, on series
+        # with mixed denominators and zero coefficients
+        rng = random.Random(507)
+        for _ in range(80):
+            order = rng.randint(1, 14)
+            s = Series([random_rational(rng) for _ in range(order)])
+            for r in (0, -3, F(5, 3), F(-2, 7), random_rational(rng)):
+                assert s.binomial(r) == binomial_by_terms(s, r)
 
     def test_matches_generating_function_form(self):
         # B^r has gf (1/(1-rx)) g(x/(1-rx))

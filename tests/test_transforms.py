@@ -4,7 +4,9 @@ The determinant oracle here is textbook cofactor expansion, written
 independently of the fraction-free elimination used by the library.  The
 J-fraction oracle nests 1/(1 - b_j x - lambda_{j+1} x^2 * tail) from the
 bottom up by series division, independently of the path table the library
-runs.
+runs; the untrimmed path table, every row filled to the top height, is a
+second oracle for the trimmed one.  The point products are checked against
+their defining product, formed afresh for every index.
 """
 
 import random
@@ -35,6 +37,7 @@ from ec_riordan import (
     somos_params_from_amatrix,
     somos_verify,
 )
+from ec_riordan.transforms import _point_products
 
 E1 = (-1, -2, -1)
 
@@ -67,6 +70,29 @@ def jfrac_by_division(b, lam, order):
             denom = denom - (lam[j] * tail).shift_up(2)
         tail = Series.one(order) / denom
     return tail
+
+
+def jfrac_eval_untrimmed(jf, order):
+    """The path table with every row filled up to height min(depth, (order-1)/2)."""
+    top = min(jf.depth, (order - 1) // 2)
+    b = jf.b + (F(0),) * (top + 1 - len(jf.b))
+    row = [F(1)] + [F(0)] * top
+    coeffs = [row[0]]
+    for _ in range(1, order):
+        up = [F(0)] + row[:-1]
+        down = [jf.lam[k] * row[k + 1] for k in range(top)] + [F(0)]
+        row = [u + bk * r + d for u, bk, r, d in zip(up, b, row, down)]
+        coeffs.append(row[0])
+    return Series(coeffs)
+
+
+def point_product_by_definition(curve, n):
+    """h_n = prod_{k=0}^{n} (-x([(k+2)]P))^(n-k), from its own multiples."""
+    pts = curve.multiples(n + 2)
+    acc = F(1)
+    for k in range(n + 1):
+        acc *= (-pts[k + 1].x) ** (n - k)
+    return acc
 
 
 def random_rational(rng, zero_share=0.3):
@@ -159,6 +185,26 @@ class TestPointProduct:
         cur = Curve(3, 2, 2)
         with pytest.raises(TorsionDepthError):
             hankel_point_product(cur, 2)
+
+    def test_running_product_matches_definition(self):
+        rng = random.Random(50)
+        done = 0
+        while done < 30:
+            cur = random_curve(rng)
+            if cur.multiples(10)[-1].is_infinity:
+                continue
+            done += 1
+            got = _point_products(cur, 8)
+            assert got == [point_product_by_definition(cur, n) for n in range(8)]
+            assert got[-1] == hankel_point_product(cur, 7)
+
+    def test_torsion_names_first_missing_index(self):
+        # (3,2,2): [3]P is the point at infinity, so h_1 is the first
+        # product that cannot be formed
+        cur = Curve(3, 2, 2)
+        assert _point_products(cur, 1) == [1]
+        with pytest.raises(TorsionDepthError, match=r"^h_1 needs \[3\]P affine"):
+            _point_products(cur, 5)
 
 
 class TestSomos:
@@ -263,6 +309,18 @@ class TestJFractionPaths:
                 assert got == jfrac_by_division(b, lam, order)
             got = jfrac_eval(JFraction(b, lam, exact=True), 12)
             assert got == jfrac_by_division(b, lam, 12)
+
+    def test_trimmed_eval_matches_untrimmed_table(self):
+        rng = random.Random(51)
+        for _ in range(100):
+            depth = rng.randint(0, 8)
+            b = tuple(random_rational(rng) for _ in range(depth + rng.randint(0, 1)))
+            lam = tuple(random_rational(rng) for _ in range(depth))
+            for exact in (False, True):
+                jf = JFraction(b, lam, exact=exact)
+                # past 2 * depth only a terminating fraction is defined
+                for order in range(1, 2 * depth + 1 + 4 * exact):
+                    assert jfrac_eval(jf, order) == jfrac_eval_untrimmed(jf, order)
 
     def test_extract_inverts_oracle(self):
         rng = random.Random(49)

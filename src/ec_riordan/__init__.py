@@ -68,7 +68,6 @@ from .pipeline import (
     VerifyReport,
     amatrix_gf,
     closed_form_g,
-    closed_form_gamma,
     derive_g,
     derive_gamma,
     full_verify,

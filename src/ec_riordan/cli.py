@@ -36,7 +36,6 @@ from .riordan import g_family_params, gamma_family_params
 from .series import Series
 from .transforms import (
     TorsionDepthError,
-    ZeroXCoordinateError,
     _point_products,
     hankel_transform,
     jfrac_extract,
@@ -177,7 +176,7 @@ def _cmd_hankel(args, curve: Curve):
         product_note = f"point product: {'agrees' if same else 'MISMATCH'}"
         if not same:
             code = 1
-    except (TorsionDepthError, ZeroXCoordinateError) as exc:
+    except TorsionDepthError as exc:
         product_note = f"point product skipped: {exc}"
     payload = {
         "curve": curve.to_dict(),

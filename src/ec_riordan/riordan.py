@@ -152,11 +152,12 @@ def verify_kernel(u: Series, am: AMatrix) -> bool:
     lhs = u.shift_down(1)
     n = lhs.order
     x = Series.x(n)
+    u = u.truncate(n)
     rhs = (
         Series.one(n)
         + am.gamma * x
-        + am.alpha * u.truncate(n)
-        + am.beta * (u.truncate(n) * x)
-        + am.delta * (u.truncate(n) ** 2 * x)
+        + am.alpha * u
+        + am.beta * (u * x)
+        + am.delta * (u * u * x)
     )
     return (lhs - rhs).is_zero()

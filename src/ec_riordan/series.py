@@ -175,18 +175,6 @@ class Series:
     def __rtruediv__(self, other: Rat) -> "Series":
         return _div(Series.poly([_rat(other)], self.order), self)
 
-    def __pow__(self, n: int) -> "Series":
-        if not isinstance(n, int) or n < 0:
-            raise SeriesError("only nonnegative integer powers")
-        result = Series.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     # -- shifts ------------------------------------------------------------
 
     def shift_up(self, k: int = 1) -> "Series":

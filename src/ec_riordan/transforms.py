@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Sequence
 
 from .curve import Curve, Point
@@ -72,13 +74,23 @@ def _bareiss_det(matrix: list[list[Fraction]]) -> Fraction:
     return sign * m[n - 1][n - 1]
 
 
+def _minors(a0: Fraction, lam: Sequence[Fraction]) -> list[Fraction]:
+    """h_n = a0^(n+1) prod_{k=1}^{n} lambda_k^(n+1-k) for n = 0 .. len(lam).
+
+    The Hankel minors of a0 times a series with J-fraction lambdas lam
+    (Flajolet 1980), one running product apart:
+    h_n = h_(n-1) * (a0 * lambda_1 ... lambda_n).
+    """
+    return list(accumulate(accumulate([a0, *lam], mul), mul))
+
+
 def hankel_transform(seq: Sequence[Rat], count: int) -> list[Fraction]:
     """h_n = det(a_{i+j})_{0<=i,j<=n} for n = 0 .. count-1.
 
-    One pivot-free Bareiss pass over the count x count Hankel matrix gives
-    them all: its k-th pivot is the leading (k+1) x (k+1) minor, h_k
-    (Bareiss 1968).  The pass stops at the first zero pivot, and each
-    later h_n is then a separate determinant with row pivoting.
+    The leading minors are the J-fraction product of `_minors`, on the
+    lambdas that `jfrac_extract` reads off a / a_0.  Extraction stops at
+    the first vanishing lambda_m, where h_m = 0; each later h_n (and every
+    h_n when a_0 = 0) is a separate determinant with row pivoting.
     """
     terms = [Fraction(t) for t in seq]
     if count < 1:
@@ -87,19 +99,13 @@ def hankel_transform(seq: Sequence[Rat], count: int) -> list[Fraction]:
         raise InsufficientTermsError(
             f"{count} Hankel terms need {2 * count - 1} sequence terms, got {len(terms)}"
         )
-    m = [terms[i : i + count] for i in range(count)]
-    out = []
-    prev = Fraction(1)
-    for k in range(count):
-        pivot = m[k][k]
-        out.append(pivot)
-        if pivot == 0:
-            break
-        for row in m[k + 1 :]:
-            rk = row[k]
-            for j in range(k + 1, count):
-                row[j] = (row[j] * pivot - rk * m[k][j]) / prev
-        prev = pivot
+    out: list[Fraction] = []
+    if terms[0] != 0:
+        series = Series([t / terms[0] for t in terms[: 2 * count - 1]])
+        jf = jfrac_extract(series, count - 1)
+        # extraction stops short only at a lambda_m = 0, and then h_m = 0
+        lam = jf.lam if jf.depth == count - 1 else jf.lam + (Fraction(0),)
+        out = _minors(terms[0], lam)
     for n in range(len(out), count):
         matrix = [terms[i : i + n + 1] for i in range(n + 1)]
         out.append(_bareiss_det(matrix))
@@ -107,25 +113,17 @@ def hankel_transform(seq: Sequence[Rat], count: int) -> list[Fraction]:
 
 
 def _point_products(curve: Curve, count: int) -> list[Fraction]:
-    """hankel_point_product for n = 0 .. count-1 from one list of multiples.
+    """hankel_point_product for n = 0 .. count-1 from one list of multiples:
+    the minors of `_minors` with lambda_k = -x([(k+1)]P).
 
-    Consecutive terms differ by one running product:
-    h_n = h_(n-1) * prod_{k<n} (-x([(k+2)]P)).  Raises TorsionDepthError
-    at the first n whose [(n+2)]P is not affine.
+    Raises TorsionDepthError at the first n whose [(n+2)]P is not affine.
     """
     pts = curve.multiples(count + 1)
-    out: list[Fraction] = []
-    h = run = Fraction(1)
-    for n in range(count):
-        if n + 1 >= len(pts) or pts[n + 1].is_infinity:
-            raise TorsionDepthError(
-                f"h_{n} needs [{n + 2}]P affine but the base point has finite order"
-            )
-        if n:
-            run *= -pts[n].x  # the (n+1)-th multiple
-            h *= run
-        out.append(h)
-    return out
+    if pts[-1].is_infinity:  # the list stops at [len(pts)]P
+        raise TorsionDepthError(
+            f"h_{len(pts) - 2} needs [{len(pts)}]P affine but the base point has finite order"
+        )
+    return _minors(Fraction(1), [-p.x for p in pts[1:count]])
 
 
 def hankel_point_product(curve: Curve, n: int) -> Fraction:

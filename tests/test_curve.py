@@ -201,7 +201,7 @@ class TestSeriesBranch:
             x = Series.x(order)
             for y in cur.solve_y(order):
                 lhs = y * y - cur.a * x * y - y
-                rhs = x ** 3 - cur.b * x * x - cur.c * x
+                rhs = x * x * x - cur.b * x * x - cur.c * x
                 assert lhs == rhs
 
 

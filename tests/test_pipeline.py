@@ -20,7 +20,6 @@ from ec_riordan import (
     SingularCurveError,
     amatrix_gf,
     closed_form_g,
-    closed_form_gamma,
     derive_g,
     derive_gamma,
     full_verify,
@@ -29,6 +28,7 @@ from ec_riordan import (
     g_family_params,
     gamma_family_params,
 )
+from ec_riordan import pipeline
 from ec_riordan.pipeline import _coefficient_sum
 from test_series import binomial_by_terms
 
@@ -160,7 +160,8 @@ class TestDeriveGamma:
         rng = random.Random(54)
         for _ in range(25):
             cur = random_curve(rng)
-            assert derive_gamma(cur, 14) == closed_form_gamma(cur, 14)
+            am = gamma_family_params(cur.a, cur.b, cur.c)
+            assert derive_gamma(cur, 14) == amatrix_gf(am, 14)
 
 
 class TestAMatrixGF:
@@ -250,3 +251,15 @@ class TestFullVerify:
         monkeypatch.setattr(Curve, "multiples", counting)
         assert full_verify(Curve(*E1), order=20).all_pass
         assert calls == [10]
+
+    def test_corrupted_g_fails_both_kernel_checks(self, monkeypatch):
+        def corrupted(curve, order):
+            g = derive_g(curve, order)
+            return g + Series.poly([0, 0, 0, 0, 0, 1], order)
+
+        monkeypatch.setattr(pipeline, "derive_g", corrupted)
+        report = full_verify(Curve(*E1), order=16)
+        verdicts = {c.name: c.passed for c in report.checks}
+        assert verdicts["g reversion vs closed form"] is False
+        assert verdicts["gamma binomial vs closed form"] is False
+        assert report.all_pass is False

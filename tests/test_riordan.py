@@ -12,6 +12,7 @@ from ec_riordan import (
     RiordanArray,
     Series,
     SingularCurveError,
+    amatrix_gf,
     derive_g,
     derive_gamma,
     g_family_params,
@@ -179,6 +180,31 @@ class TestKernel:
         am = g_family_params(*E1)
         bad = g + Series.poly([0, 0, 0, 0, 0, 1], 10)
         assert not verify_kernel(bad.shift_up(1).truncate(10), am)
+
+    def test_verdict_is_closed_form_equality(self):
+        # the kernel equation has one power-series solution, amatrix_gf
+        rng = random.Random(29)
+        corrupted = 0
+        for _ in range(300):
+            while True:
+                try:
+                    cur = Curve(*(F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(3)))
+                    break
+                except SingularCurveError:
+                    continue
+            n = rng.randint(1, 16)
+            g = derive_g(cur, n)
+            for s, am in (
+                (g, g_family_params(cur.a, cur.b, cur.c)),
+                (g.binomial(cur.a - 2 * cur.c + 1), gamma_family_params(cur.a, cur.b, cur.c)),
+            ):
+                if rng.random() < 0.7:
+                    coeffs = s.coefficients()
+                    coeffs[rng.randrange(n)] += F(rng.choice([-1, 1]), rng.randint(1, 3))
+                    s = Series(coeffs)
+                    corrupted += 1
+                assert verify_kernel(s.shift_up(1), am) == (s == amatrix_gf(am, n))
+        assert 360 <= corrupted <= 480
 
 
 def squares_to_identity(g, n_rows):

@@ -118,10 +118,6 @@ class TestArithmetic:
         with pytest.raises(ZeroConstantTermError):
             Series.one(4) / Series.x(4)
 
-    def test_power(self):
-        assert Series.poly([1, 1], 5) ** 2 == Series.poly([1, 2, 1], 5)
-        assert Series.poly([1, 1], 4) ** 0 == Series.one(4)
-
     def test_division_round_trip(self):
         rng = random.Random(101)
         for _ in range(120):

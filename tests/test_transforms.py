@@ -1,7 +1,8 @@
 """Hankel transforms, Somos-4 checks, and Jacobi continued fractions.
 
-The determinant oracle here is textbook cofactor expansion, written
-independently of the fraction-free elimination used by the library.  The
+The determinant oracles here are textbook cofactor expansion and the
+library's row-pivoted `_bareiss_det` run on every leading minor, where
+the library forms the minors by the J-fraction product.  The
 J-fraction oracle nests 1/(1 - b_j x - lambda_{j+1} x^2 * tail) from the
 bottom up by series division, independently of the path table the library
 runs; the untrimmed path table, every row filled to the top height, is a
@@ -37,7 +38,7 @@ from ec_riordan import (
     somos_params_from_amatrix,
     somos_verify,
 )
-from ec_riordan.transforms import _point_products
+from ec_riordan.transforms import _bareiss_det, _point_products
 
 E1 = (-1, -2, -1)
 
@@ -60,6 +61,15 @@ def hankel_by_cofactor(seq, count):
         matrix = [[seq[i + j] for j in range(n + 1)] for i in range(n + 1)]
         out.append(det_cofactor(matrix))
     return out
+
+
+def minor_by_elimination(seq, n):
+    """h_n by its own row-pivoted elimination."""
+    return _bareiss_det([[F(seq[i + j]) for j in range(n + 1)] for i in range(n + 1)])
+
+
+def hankel_by_elimination(seq, count):
+    return [minor_by_elimination(seq, n) for n in range(count)]
 
 
 def jfrac_by_division(b, lam, order):
@@ -154,6 +164,29 @@ class TestHankel:
             zero = h.index(0) if 0 in h else len(h)
             recovered += any(h[zero + 1 :])
         assert recovered > 20  # nonzero minors after a zero pivot
+
+    def test_lambda_product_against_elimination(self):
+        # a_0 = 0, 1 and neither in turn; half the terms zero, so a nonzero
+        # minor often follows a zero one
+        rng = random.Random(45)
+        recovered = 0
+        for case in range(45):
+            count = rng.randint(1, 24)
+            seq = [random_rational(rng, 0.5) for _ in range(2 * count - 1)]
+            seq[0] = (F(0), F(1), F(-5, 3))[case % 3]
+            h = hankel_transform(seq, count)
+            assert h == hankel_by_elimination(seq, count)
+            zero = h.index(0) if 0 in h else len(h)
+            recovered += any(h[zero + 1 :])
+        assert recovered >= 10
+
+    def test_lambda_product_on_rational_curve(self):
+        # 48 minors, past the cofactor oracle; eliminating every one of
+        # them takes seconds, so every 11th is checked, the last included
+        g = derive_g(Curve(F(1, 2), F(-1, 3), F(2, 5)), 95).coefficients()
+        h = hankel_transform(g, 48)
+        for n in range(3, 48, 11):
+            assert h[n] == minor_by_elimination(g, n)
 
     def test_binomial_invariance(self):
         rng = random.Random(42)

@@ -177,7 +177,7 @@ class Curve:
     def eds(self, n_max: int) -> list[Fraction]:
         """W_n = psi_n(0, 0) for n = 0 .. n_max.
 
-        Initial values at P = (0, 0): psi_1 = 1, psi_2 = a3,
+        Initial values at P = (0, 0): psi_1 = 1, psi_2 = a3 = -1,
         psi_3 = b8, psi_4 = a3*(b4*b8 - b6^2); later terms follow the
         standard odd/even recurrences
           psi_{2m+1} = psi_{m+2} psi_m^3 - psi_{m-1} psi_{m+1}^3,
@@ -192,9 +192,6 @@ class Curve:
             self.b8,
             self.a3 * (self.b4 * self.b8 - self.b6 * self.b6),
         ]
-        if w[2] == 0:
-            # cannot happen in this family (a3 = -1) but guard the division
-            raise ZeroDivisionError("psi_2 vanishes at the base point")
         for n in range(5, n_max + 1):
             m = n // 2
             if n % 2 == 1:

@@ -11,9 +11,9 @@ equation, and g by Lagrange inversion of the denominator of G at dx.
 Both series also solve an A-matrix kernel equation
 u/x = 1 + gamma*x + alpha*u + beta*u*x + delta*u^2*x in u = x*g, whose
 one power-series solution has a Catalan closed form and explicit
-double/triple-sum coefficient formulas.  full_verify runs every route
-on one curve and cross-checks them exactly, g and gamma by the kernel
-equation.
+double/triple-sum coefficient formulas.  full_verify cross-checks every
+route exactly: g and gamma by the kernel equation, their J-fractions by
+(b, lambda) against those from the multiples of the base point.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from .paths import dp_count, stepset_for_g, stepset_for_gamma
 from .series import Series, _lagrange_coeffs, catalan_gf
 from .transforms import (
     ZeroXCoordinateError,
+    _hankel_jfrac,
     _jfrac_from_multiples,
-    hankel_transform,
-    jfrac_eval,
+    jfrac_extract,
     somos_params,
     somos_params_from_amatrix,
     somos_verify,
@@ -187,8 +187,8 @@ def _sign(v: Fraction) -> int:
 
 def full_verify(curve: Curve, order: int = 24) -> VerifyReport:
     """Run every derivation route on one curve and cross-check exactly."""
-    if order < 8:
-        raise ValueError("order must be at least 8")
+    if order < 9:
+        raise ValueError("order must be at least 9")
     report = VerifyReport(curve=curve.to_dict(), order=order)
     checks = report.checks
     shift = curve.a - 2 * curve.c + 1
@@ -236,7 +236,7 @@ def full_verify(curve: Curve, order: int = 24) -> VerifyReport:
     )
 
     count = (order + 1) // 2
-    h = hankel_transform(g.prefix(2 * count - 1), count)
+    jf_g, h = _hankel_jfrac(g.prefix(2 * count - 1), count)
     params = somos_params(curve)
     params_g = somos_params_from_amatrix(am_g)
     params_pair = somos_params_from_amatrix(am_gamma)
@@ -259,30 +259,23 @@ def full_verify(curve: Curve, order: int = 24) -> VerifyReport:
         )
     )
 
-    want_depth = (order - 1) // 2
-    pts = curve.multiples(want_depth + 1)
-    avail = len(pts) - (1 if pts[-1].is_infinity else 0)
-    depth = min(want_depth, avail - 1)
-    for name, target, jf_shift in (
-        ("J-fraction from points (g)", g, Fraction(0)),
-        ("J-fraction from points (gamma)", gamma, shift),
+    # depth (order-1)//2 reads 2*depth + 1 <= order coefficients, so every
+    # lambda is compared; g's fraction is the one the minors were read off
+    depth = count - 1
+    pts = curve.multiples(depth + 1)
+    if pts[-1].is_infinity:  # then [m-1]P = -P = (0, 1) skips both checks
+        depth = len(pts) - 2
+    for name, jf_shift, extract in (
+        ("J-fraction from points (g)", Fraction(0), lambda: jf_g),
+        ("J-fraction from points (gamma)", shift, lambda: jfrac_extract(gamma, depth)),
     ):
-        if depth < 1:
-            checks.append(
-                CheckResult(name, True, "skipped: no affine multiple beyond P")
-            )
-            continue
         try:
             jf = _jfrac_from_multiples(curve, pts, jf_shift, depth)
         except ZeroXCoordinateError as exc:
             checks.append(CheckResult(name, True, f"skipped: {exc}"))
             continue
-        n_cmp = min(2 * depth, order)
-        ok = jfrac_eval(jf, n_cmp) == target.truncate(n_cmp)
-        note = f"depth {depth}, {n_cmp} coefficients"
-        if depth < want_depth:
-            note += " (depth limited by torsion)"
-        checks.append(CheckResult(name, ok, note))
+        ok = extract() == jf
+        checks.append(CheckResult(name, ok, f"depth {depth}, {2 * depth} coefficients"))
 
     condition = curve.a * curve.c - curve.b - curve.c * curve.c == 0
     ok = pseudo_involution_check(gamma, rows) == condition

@@ -92,6 +92,12 @@ def hankel_transform(seq: Sequence[Rat], count: int) -> list[Fraction]:
     the first vanishing lambda_m, where h_m = 0; each later h_n (and every
     h_n when a_0 = 0) is a separate determinant with row pivoting.
     """
+    return _hankel_jfrac(seq, count)[1]
+
+
+def _hankel_jfrac(seq: Sequence[Rat], count: int) -> tuple[JFraction | None, list[Fraction]]:
+    """hankel_transform, and the J-fraction of a / a_0 its minors come from
+    (depth count - 1, less after a vanishing lambda; None when a_0 = 0)."""
     terms = [Fraction(t) for t in seq]
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -100,6 +106,7 @@ def hankel_transform(seq: Sequence[Rat], count: int) -> list[Fraction]:
             f"{count} Hankel terms need {2 * count - 1} sequence terms, got {len(terms)}"
         )
     out: list[Fraction] = []
+    jf = None
     if terms[0] != 0:
         series = Series([t / terms[0] for t in terms[: 2 * count - 1]])
         jf = jfrac_extract(series, count - 1)
@@ -109,7 +116,7 @@ def hankel_transform(seq: Sequence[Rat], count: int) -> list[Fraction]:
     for n in range(len(out), count):
         matrix = [terms[i : i + n + 1] for i in range(n + 1)]
         out.append(_bareiss_det(matrix))
-    return out
+    return jf, out
 
 
 def _point_products(curve: Curve, count: int) -> list[Fraction]:

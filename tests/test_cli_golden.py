@@ -53,6 +53,7 @@ PER_CURVE = [
 ERRORS = [
     ["paths", "-1", "-2", "-1", "--family", "orbit"],
     ["verify", "-1", "-2", "-1", "--order", "4"],
+    ["verify", "-1", "-2", "-1", "--order", "8"],
     ["derive", "1", "2", "0"],
     ["oeis", "-1", "-2", "-1", "A999999", "--offline"],
     ["oeis", "-1", "-2", "-1", "B99", "--offline"],

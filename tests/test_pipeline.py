@@ -16,6 +16,8 @@ import pytest
 from ec_riordan import (
     AMatrix,
     Curve,
+    JFraction,
+    Point,
     Series,
     SingularCurveError,
     amatrix_gf,
@@ -34,6 +36,17 @@ from test_series import binomial_by_terms
 
 E1 = (-1, -2, -1)
 EX2 = (-2, -5, 1)
+RATIONAL = (F(1, 2), F(-1, 3), F(2, 5))
+
+# (a, b, c) and the order m of the base point
+FINITE_ORDER = [
+    ((-4, 0, -4), 3),
+    ((-3, F(-3, 2), F(1, 2)), 4),
+    ((-4, 2, -3), 5),
+    ((F(-3, 2), F(-3, 2), -2), 7),
+    ((F(-1, 3), 1, 0), 8),
+]
+JFRAC_CHECKS = ("J-fraction from points (g)", "J-fraction from points (gamma)")
 
 E1_G = [1, -1, 3, -8, 22, -59, 155, -396, 978, -2310, 5122, -10260, 16752]
 EX2_G = [1, -1, 3, 2, 17, 51, 185, 664, 2333, 8360, 29717]
@@ -239,6 +252,10 @@ class TestFullVerify:
     def test_order_guard(self):
         with pytest.raises(ValueError):
             full_verify(Curve(*E1), order=4)
+        # order 8 gives 4 Hankel minors, one short of a Somos-4 check
+        with pytest.raises(ValueError, match="at least 9"):
+            full_verify(Curve(*E1), order=8)
+        assert full_verify(Curve(*E1), order=9).all_pass
 
     def test_multiples_computed_once(self, monkeypatch):
         calls = []
@@ -263,3 +280,39 @@ class TestFullVerify:
         assert verdicts["g reversion vs closed form"] is False
         assert verdicts["gamma binomial vs closed form"] is False
         assert report.all_pass is False
+
+    def test_last_lambda_is_compared(self, monkeypatch):
+        # a depth-d fraction agrees with a series to order 2d whatever
+        # lambda_d is, so only a comparison of b and lambda sees this change
+        original = pipeline._jfrac_from_multiples
+
+        def corrupted(curve, pts, shift, depth):
+            jf = original(curve, pts, shift, depth)
+            return JFraction(jf.b, jf.lam[:-1] + (jf.lam[-1] + 1,))
+
+        monkeypatch.setattr(pipeline, "_jfrac_from_multiples", corrupted)
+        for abc, order in ((E1, 24), (E1, 25), (RATIONAL, 22)):
+            report = full_verify(Curve(*abc), order)
+            verdicts = {c.name: c.passed for c in report.checks}
+            assert [verdicts[name] for name in JFRAC_CHECKS] == [False, False], (abc, order)
+            assert report.all_pass is False
+
+    @pytest.mark.parametrize("abc, m", FINITE_ORDER)
+    def test_finite_order_stops_at_minus_p(self, abc, m):
+        # x = 0 only at P and -P = (0, 1), and 2P is affine, so a base point
+        # of order m ends its multiples with [m-1]P = -P: whenever torsion
+        # caps the depth, the points J-fractions hit x = 0 and are skipped
+        cur = Curve(*abc)
+        pts = cur.multiples(13)
+        assert len(pts) == m and pts[-1].is_infinity
+        assert pts[m - 2] == Point(F(0), F(1))
+        for order in range(9, 21):
+            report = full_verify(cur, order)
+            assert report.all_pass, (abc, order)
+            depth = (order - 1) // 2
+            if depth >= m - 2:
+                want = f"skipped: [{m - 1}]P has x = 0"
+            else:
+                want = f"depth {depth}, {2 * depth} coefficients"
+            details = {c.name: c.detail for c in report.checks}
+            assert [details[name] for name in JFRAC_CHECKS] == [want, want], (abc, order)

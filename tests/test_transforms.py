@@ -38,7 +38,7 @@ from ec_riordan import (
     somos_params_from_amatrix,
     somos_verify,
 )
-from ec_riordan.transforms import _bareiss_det, _point_products
+from ec_riordan.transforms import _bareiss_det, _hankel_jfrac, _point_products
 
 E1 = (-1, -2, -1)
 
@@ -187,6 +187,15 @@ class TestHankel:
         h = hankel_transform(g, 48)
         for n in range(3, 48, 11):
             assert h[n] == minor_by_elimination(g, n)
+
+    def test_returns_the_fraction_it_read(self):
+        # full_verify compares this fraction with the one from the points
+        g = derive_g(Curve(*E1), 21)
+        jf, h = _hankel_jfrac([3 * v for v in g.coefficients()], 11)
+        assert jf == jfrac_extract(g, 10)
+        plain = hankel_transform(g.coefficients(), 11)
+        assert h == [3 ** (n + 1) * v for n, v in enumerate(plain)]
+        assert _hankel_jfrac([0, 1, 2], 2) == (None, [0, -1])
 
     def test_binomial_invariance(self):
         rng = random.Random(42)

@@ -3,8 +3,9 @@ the power series their branches generate, and the Riordan arrays, lattice
 paths, Hankel transforms, Somos sequences and continued fractions that all
 turn out to encode the same data.
 
-Everything is exact: results are Fractions, computed on Fractions or on
-integers over a known common denominator.  No floats, no tolerances.
+Everything is exact: results are int where integral, Fraction otherwise,
+computed on Fractions or on integers over a known common denominator.  No
+floats, no tolerances.
 """
 
 from .series import (

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -127,11 +125,13 @@ def load_bfile(
     if cached.is_file():
         return parse_bfile(anum, _decode(anum, cached.read_bytes()), "cache")
 
+    import urllib.request  # the network stack loads only when fetching
+
     url = OEIS_URL.format(anum=anum, digits=anum[1:])
     try:
         with urllib.request.urlopen(url, timeout=TIMEOUT_S) as resp:
             text = _decode(anum, resp.read())
-    except (urllib.error.URLError, TimeoutError, OSError) as exc:
+    except OSError as exc:  # URLError and TimeoutError included
         raise OEISNetworkError(f"fetching {url}: {exc}") from None
     bfile = parse_bfile(anum, text, "network")
     # write a temp file and rename it, so a failed write leaves no b-file

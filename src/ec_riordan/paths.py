@@ -17,11 +17,10 @@ serve as the oracle for the DP.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .riordan import AMatrix, g_family_params, gamma_family_params, orbit_shift
-from .series import Rat
+from .series import Rat, _rat
 
 BRUTE_FORCE_LIMIT = 14
 
@@ -39,8 +38,8 @@ class StepSet:
     by origin_override instead of the table weight.
     """
 
-    steps: tuple[tuple[int, int, Fraction], ...]
-    origin_override: Optional[Fraction] = None
+    steps: tuple[tuple[int, int, Rat], ...]
+    origin_override: Optional[Rat] = None
 
     def __post_init__(self):
         for dx, dy, _ in self.steps:
@@ -49,8 +48,8 @@ class StepSet:
 
     @classmethod
     def of(cls, steps, origin_override: Optional[Rat] = None) -> "StepSet":
-        tidy = tuple((int(dx), int(dy), Fraction(w)) for dx, dy, w in steps)
-        ov = None if origin_override is None else Fraction(origin_override)
+        tidy = tuple((int(dx), int(dy), _rat(w)) for dx, dy, w in steps)
+        ov = None if origin_override is None else _rat(origin_override)
         return cls(tidy, ov)
 
     def to_dicts(self) -> list[dict]:
@@ -64,9 +63,9 @@ class StepSet:
         return text
 
 
-def _amatrix_steps(am: AMatrix) -> list[tuple[int, int, Fraction]]:
+def _amatrix_steps(am: AMatrix) -> list[tuple[int, int, Rat]]:
     return [
-        (1, 1, Fraction(1)),
+        (1, 1, 1),
         (1, 0, am.alpha),
         (2, 0, am.beta),
         (2, 1, am.gamma),
@@ -101,25 +100,25 @@ def stepset_orbit(curve, r: Rat) -> StepSet:
     return StepSet.of(_amatrix_steps(am), am.alpha + am.gamma)
 
 
-def dp_count(steps: StepSet, n_rows: int) -> list[list[Fraction]]:
+def dp_count(steps: StepSet, n_rows: int) -> list[list[Rat]]:
     """Triangle rows t[0..n_rows-1] by dynamic programming over (n, k)."""
     if n_rows < 1:
         raise ValueError("n_rows must be at least 1")
-    rows: list[list[Fraction]] = [[Fraction(1)]]
+    rows: list[list[Rat]] = [[1]]
 
-    def at(n: int, k: int) -> Fraction:
+    def at(n: int, k: int) -> Rat:
         if n < 0 or k < 0 or k > n:
-            return Fraction(0)
+            return 0
         return rows[n][k]
 
     for n in range(1, n_rows):
         row = []
         for k in range(n + 1):
-            acc = Fraction(0)
+            acc = 0
             for dx, dy, w in steps.steps:
                 if w != 0:
                     acc += w * at(n - dx, k - dy)
-            row.append(acc)
+            row.append(_rat(acc))
         if n == 1 and steps.origin_override is not None:
             row[0] = steps.origin_override
         rows.append(row)
@@ -128,7 +127,7 @@ def dp_count(steps: StepSet, n_rows: int) -> list[list[Fraction]]:
 
 def riordan_from_recurrence(
     am: AMatrix, n_rows: int, t10_override: Optional[Rat] = None
-) -> list[list[Fraction]]:
+) -> list[list[Rat]]:
     """Rows of the triangle generated by the five-term A-matrix recurrence.
 
     t[0][0] = 1; if t10_override is given it replaces t[1][0] (the rest of
@@ -148,13 +147,13 @@ def _first_moves(steps: StepSet):
     return moves
 
 
-def brute_force_count(steps: StepSet, n: int, k: int) -> Fraction:
+def brute_force_count(steps: StepSet, n: int, k: int) -> Rat:
     """Weight of paths to (n, k): one entry of brute_force_table."""
     table = brute_force_table(steps, max(n, 0))
-    return table[n][k] if 0 <= k <= n else Fraction(0)
+    return table[n][k] if 0 <= k <= n else 0
 
 
-def brute_force_table(steps: StepSet, n_max: int) -> list[list[Fraction]]:
+def brute_force_table(steps: StepSet, n_max: int) -> list[list[Rat]]:
     """All triangle entries t[0..n_max] by a single exhaustive enumeration.
 
     Every prefix of a path is a path, so one depth-first walk visits each
@@ -164,10 +163,10 @@ def brute_force_table(steps: StepSet, n_max: int) -> list[list[Fraction]]:
         raise SearchSpaceTooLargeError(
             f"refusing exhaustive enumeration for n = {n_max} > {BRUTE_FORCE_LIMIT}"
         )
-    table = [[Fraction(0)] * (n + 1) for n in range(n_max + 1)]
-    table[0][0] = Fraction(1)
+    table: list[list[Rat]] = [[0] * (n + 1) for n in range(n_max + 1)]
+    table[0][0] = 1
 
-    def walk(x: int, h: int, weight: Fraction, moves) -> None:
+    def walk(x: int, h: int, weight: Rat, moves) -> None:
         for dx, dy, w in moves:
             if w == 0:
                 continue
@@ -178,5 +177,5 @@ def brute_force_table(steps: StepSet, n_max: int) -> list[list[Fraction]]:
             table[nx][nh] += nw
             walk(nx, nh, nw, steps.steps)
 
-    walk(0, 0, Fraction(1), _first_moves(steps))
-    return table
+    walk(0, 0, 1, _first_moves(steps))
+    return [[_rat(v) for v in row] for row in table]

@@ -1,10 +1,10 @@
 """Exact truncated formal power series over the rationals.
 
-A :class:`Series` holds coefficients of x^0 .. x^(order-1) as
-`fractions.Fraction` values.  Every operation truncates its result to the
-order it can actually justify from its inputs (the minimum of the operand
-orders, adjusted for shifts), so a coefficient you can read is a coefficient
-that is exactly right.
+A :class:`Series` holds coefficients of x^0 .. x^(order-1) as exact
+rationals: int where integral, `fractions.Fraction` otherwise.  Every
+operation truncates its result to the order it can actually justify from
+its inputs (the minimum of the operand orders, adjusted for shifts), so a
+coefficient you can read is a coefficient that is exactly right.
 """
 
 from __future__ import annotations
@@ -40,11 +40,12 @@ class InsufficientOrderError(SeriesError):
     """An operand does not carry enough coefficients."""
 
 
-def _rat(value: Rat) -> Fraction:
+def _rat(value: Rat) -> Rat:
+    """An exact rational: int where integral, Fraction otherwise."""
     if isinstance(value, Fraction):
-        return value
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
@@ -71,7 +72,7 @@ class Series:
         if order < 1:
             raise SeriesError("order must be at least 1")
         if len(cs) < order:
-            cs.extend([Fraction(0)] * (order - len(cs)))
+            cs.extend([0] * (order - len(cs)))
         return cls(cs[:order])
 
     @classmethod
@@ -91,17 +92,17 @@ class Series:
     def __len__(self) -> int:
         return len(self._coeffs)
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> Rat:
         if not 0 <= n < len(self._coeffs):
             raise InsufficientOrderError(
                 f"coefficient {n} requested but series is only valid to order {self.order}"
             )
         return self._coeffs[n]
 
-    def coefficients(self) -> list[Fraction]:
+    def coefficients(self) -> list[Rat]:
         return list(self._coeffs)
 
-    def prefix(self, n: int) -> list[Fraction]:
+    def prefix(self, n: int) -> list[Rat]:
         """The first n coefficients as a list."""
         if n > self.order:
             raise InsufficientOrderError(
@@ -170,7 +171,7 @@ class Series:
         w = _rat(other)
         if w == 0:
             raise ZeroDivisionError("division of a series by zero")
-        return Series([c / w for c in self._coeffs])
+        return Series([Fraction(c, w) for c in self._coeffs])
 
     def __rtruediv__(self, other: Rat) -> "Series":
         return _div(Series.poly([_rat(other)], self.order), self)
@@ -179,7 +180,7 @@ class Series:
 
     def shift_up(self, k: int = 1) -> "Series":
         """Multiply by x^k.  The new low coefficients are exact zeros."""
-        return Series((Fraction(0),) * k + self._coeffs)
+        return Series((0,) * k + self._coeffs)
 
     def shift_down(self, k: int = 1) -> "Series":
         """Divide by x^k; the first k coefficients must vanish."""
@@ -200,12 +201,12 @@ class Series:
         if self._coeffs[0] != 1:
             raise NonUnitConstantError("sqrt needs constant term exactly 1")
         n = self.order
-        r = [Fraction(1)] + [Fraction(0)] * (n - 1)
+        r = [1] + [0] * (n - 1)
         for k in range(1, n):
             acc = self._coeffs[k]
             for i in range(1, k):
                 acc -= r[i] * r[k - i]
-            r[k] = acc / 2
+            r[k] = _rat(Fraction(acc, 2))
         return Series(r)
 
     def compose(self, inner: "Series") -> "Series":
@@ -222,9 +223,9 @@ class Series:
         v = next((i for i in range(1, n) if inner._coeffs[i] != 0), n)
         h = inner._coeffs[v:n]
         top = (n - 1) // v
-        acc = [self._coeffs[top]] + [Fraction(0)] * (n - top * v - 1)
+        acc = [self._coeffs[top]] + [0] * (n - top * v - 1)
         for k in range(top - 1, -1, -1):
-            acc = [self._coeffs[k]] + [Fraction(0)] * (v - 1) + _mul(acc, h, len(acc))
+            acc = [self._coeffs[k]] + [0] * (v - 1) + _mul(acc, h, len(acc))
         return Series(acc)
 
     def revert(self) -> "Series":
@@ -317,13 +318,13 @@ def _div(f: Series, g: Series) -> Series:
         raise ZeroConstantTermError("division needs a nonzero constant term")
     n = min(f.order, g.order)
     g0 = g._coeffs[0]
-    out = [Fraction(0)] * n
+    out: list[Rat] = [0] * n
     for k in range(n):
         acc = f._coeffs[k]
         for i in range(1, k + 1):
             if g._coeffs[i] != 0:
                 acc -= g._coeffs[i] * out[k - i]
-        out[k] = acc / g0
+        out[k] = _rat(Fraction(acc, g0))
     return Series(out)
 
 
@@ -331,4 +332,4 @@ def catalan_gf(order: int) -> Series:
     """The Catalan number generating function C(x) = sum C(2n,n)/(n+1) x^n."""
     if order < 1:
         raise SeriesError("order must be at least 1")
-    return Series([Fraction(math.comb(2 * n, n), n + 1) for n in range(order)])
+    return Series([math.comb(2 * n, n) // (n + 1) for n in range(order)])

@@ -274,7 +274,7 @@ def jfrac_extract(g: Series, depth: int) -> JFraction:
         nxt = [col[n + 1] - prev[n] - b[k] * col[n] for n in range(len(col) - 1)]
         if nxt[k + 1] == 0:
             break
-        lam.append(nxt[k + 1])
+        lam.append(Fraction(nxt[k + 1]))
         prev, col = col, [v / lam[k] for v in nxt]
     return JFraction(tuple(b), tuple(lam))
 

@@ -106,6 +106,17 @@ def test_exit_codes_covered():
     assert {entry["code"] for entry in _frozen().values()} == {0, 1, 2, 3}
 
 
+def test_json_output_has_no_float():
+    def refuse(text):
+        raise AssertionError(f"float {text} in JSON output")
+
+    frozen = [entry for key, entry in _frozen().items() if "--format json" in key]
+    assert frozen
+    for entry in frozen:
+        if entry["code"] == 0:
+            json.loads(entry["stdout"], parse_float=refuse)
+
+
 @pytest.mark.parametrize("argv", cases(), ids=_key)
 def test_output_unchanged(argv):
     assert run(argv) == _frozen()[_key(argv)]

@@ -2,10 +2,13 @@
 
 import io
 import pathlib
+import subprocess
+import sys
 import urllib.error
 
 import pytest
 
+import ec_riordan
 from ec_riordan import Curve, derive_gamma, hankel_transform
 from ec_riordan.cli import main
 from ec_riordan.oeis import (
@@ -205,3 +208,13 @@ class TestCacheAndNetwork:
         (tmp_path / "A999999.txt").write_bytes(b"0 1\n1 \xfe\n")
         with pytest.raises(OEISFormatError):
             load_bfile("A999999", cache_dir=tmp_path)
+
+
+def test_cli_import_leaves_the_network_stack_unloaded():
+    # urllib.request loads only when load_bfile fetches
+    src = str(pathlib.Path(ec_riordan.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import ec_riordan.cli; "
+        "sys.exit('urllib.request' in sys.modules)"
+    )
+    assert subprocess.run([sys.executable, "-I", "-c", code]).returncode == 0

@@ -21,14 +21,21 @@ from ec_riordan import (
     Series,
     SingularCurveError,
     amatrix_gf,
+    brute_force_table,
     closed_form_g,
     derive_g,
     derive_gamma,
+    dp_count,
     full_verify,
     g_coefficient_formula,
     gamma_coefficient_formula,
     g_family_params,
     gamma_family_params,
+    hankel_transform,
+    jfrac_extract,
+    riordan_build,
+    stepset_for_g,
+    stepset_for_gamma,
 )
 from ec_riordan import pipeline
 from ec_riordan.pipeline import _coefficient_sum
@@ -316,3 +323,49 @@ class TestFullVerify:
                 want = f"depth {depth}, {2 * depth} coefficients"
             details = {c.name: c.detail for c in report.checks}
             assert [details[name] for name in JFRAC_CHECKS] == [want, want], (abc, order)
+
+
+def _leaves(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _leaves(v)
+    else:
+        yield obj
+
+
+class TestValueTypes:
+    """Integral values are ints, the others Fractions; nothing is a float."""
+
+    @staticmethod
+    def values(curve, order=16, rows=9):
+        g, gamma = derive_g(curve, order), derive_gamma(curve, order)
+        tables = [
+            riordan_build(g, g.shift_up(1).truncate(order), rows).rows,
+            riordan_build(gamma, gamma.shift_up(1).truncate(order), rows).rows,
+            dp_count(stepset_for_g(curve), rows),
+            dp_count(stepset_for_gamma(curve), rows),
+            brute_force_table(stepset_for_g(curve), rows - 1),
+        ]
+        return g.coefficients() + gamma.coefficients() + list(_leaves(tables))
+
+    def test_integer_curve_gives_ints(self):
+        for abc in (E1, EX2, (3, 2, 2), (0, 0, 0)):
+            assert {type(v) for v in self.values(Curve(*abc))} == {int}, abc
+
+    def test_rational_curve_keeps_fractions(self):
+        values = self.values(Curve(*RATIONAL))
+        kinds = [type(v) for v in values]
+        assert kinds == [int if F(v).denominator == 1 else F for v in values]
+        assert F in kinds and int in kinds
+
+    def test_no_float_anywhere(self):
+        for abc in (E1, RATIONAL):
+            curve = Curve(*abc)
+            g = derive_g(curve, 17)
+            jf = jfrac_extract(g, 8)
+            h = hankel_transform(g.coefficients(), 9)
+            results = [full_verify(curve, 14).to_dict(), jf.b, jf.lam, h]
+            for v in _leaves(results):
+                assert type(v) in (str, bool, int, F), (abc, v)

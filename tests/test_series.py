@@ -46,7 +46,7 @@ def revert_by_every_power(f):
     power = phi
     for k in range(2, n):
         power = power * phi
-        u.append(power[k - 1] / k)
+        u.append(F(power[k - 1], k))
     return Series(u)
 
 
@@ -80,6 +80,17 @@ class TestConstruction:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             Series.poly([1.5], 3)
+        with pytest.raises(TypeError):
+            Series.poly([1], 3) / 2.0
+
+    def test_integral_values_are_ints(self):
+        s = Series([True, F(6, 3), F(1, 2), -4])
+        assert [type(c) for c in s.coefficients()] == [int, int, F, int]
+        assert s.coefficients() == [1, 2, F(1, 2), -4]
+        halves = Series.poly([2, 3], 3) / 2
+        assert [type(c) for c in halves.coefficients()] == [int, F, int]
+        assert [type(c) for c in geometric(6).coefficients()] == [int] * 6
+        assert [type(c) for c in Series.poly([1, 4], 5).sqrt().coefficients()] == [int] * 5
 
     def test_getitem_beyond_order(self):
         s = Series.poly([1, 2], 3)

@@ -1,8 +1,8 @@
 """Hankel transforms, Somos-4 checks, and Jacobi continued fractions.
 
-The determinant oracles here are textbook cofactor expansion and the
-library's row-pivoted `_bareiss_det` run on every leading minor, where
-the library forms the minors by the J-fraction product.  The
+The determinant oracles here are textbook cofactor expansion and a
+row-pivoted integer Bareiss elimination of their own, run on every leading
+minor, where the library forms the minors by the J-fraction product.  The
 J-fraction oracle nests 1/(1 - b_j x - lambda_{j+1} x^2 * tail) from the
 bottom up by series division, independently of the path table the library
 runs; the untrimmed path table, every row filled to the top height, is a
@@ -10,6 +10,7 @@ second oracle for the trimmed one.  The point products are checked against
 their defining product, formed afresh for every index.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -38,7 +39,7 @@ from ec_riordan import (
     somos_params_from_amatrix,
     somos_verify,
 )
-from ec_riordan.transforms import _bareiss_det, _hankel_jfrac, _point_products
+from ec_riordan.transforms import _hankel_jfrac, _point_products
 
 E1 = (-1, -2, -1)
 
@@ -64,8 +65,40 @@ def hankel_by_cofactor(seq, count):
 
 
 def minor_by_elimination(seq, n):
-    """h_n by its own row-pivoted elimination."""
-    return _bareiss_det([[F(seq[i + j]) for j in range(n + 1)] for i in range(n + 1)])
+    """h_n by its own row-pivoted Bareiss elimination, on integers.
+
+    Row i of H is scaled by the lcm r_i of its denominators, then column j
+    gives up its content c_j, so the integer matrix M has
+    det H = det M * prod c_j / prod r_i and Bareiss divides M exactly
+    (//).  Scaling by one lcm for the whole matrix would carry D^(2n) per
+    entry where the two diagonal scalings carry D^n on a series whose
+    denominators grow like D^k, as g's do on a rational curve.
+    """
+    m = [[F(v) for v in seq[i : i + n + 1]] for i in range(n + 1)]
+    scale = F(1)
+    for i, row in enumerate(m):
+        r = math.lcm(*(v.denominator for v in row))
+        m[i] = [int(v * r) for v in row]
+        scale /= r
+    for j in range(n + 1):
+        c = math.gcd(*(row[j] for row in m))
+        if c > 1:
+            for row in m:
+                row[j] //= c
+            scale *= c
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n + 1) if m[i][k] != 0), None)
+        if pivot is None:
+            return F(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n + 1):
+            for j in range(k + 1, n + 1):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n][n] * scale
 
 
 def hankel_by_elimination(seq, count):

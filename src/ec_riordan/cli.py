@@ -7,8 +7,6 @@ input (singular curve, bad arguments), 3 sequence lookup or network failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -54,8 +52,10 @@ def _rat(text: str) -> Fraction:
 
 def _emit(args, payload: dict, lines: list[str], rows: list[list]) -> None:
     if args.format == "json":
+        import json
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
+        import csv
         writer = csv.writer(sys.stdout)
         for row in rows:
             writer.writerow(row)

@@ -9,9 +9,8 @@ the elliptic divisibility sequence psi_n(0, 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .series import Rat, Series
 
@@ -24,8 +23,7 @@ class PointNotOnCurveError(ValueError):
     """A point operation was handed a point the curve does not contain."""
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
     """An affine point (x, y) or the point at infinity (x = y = None)."""
 
     x: Optional[Fraction]

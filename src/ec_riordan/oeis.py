@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import contextlib
 import os
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
+from ._record import Record
 from .series import Rat
 
 OEIS_URL = "https://oeis.org/{anum}/b{digits}.txt"
@@ -46,12 +45,18 @@ def normalize_anum(text: str) -> str:
     return "A" + s.zfill(6)
 
 
-@dataclass(frozen=True)
-class BFile:
-    anum: str
-    start: int
-    values: tuple[int, ...]
-    source: str  # fixture, cache, or network
+class BFile(Record):
+    __slots__ = ("anum", "start", "values", "source")  # source: fixture, cache, or network
+
+    def __init__(self, anum: str, start: int, values: tuple[int, ...], source: str):
+        for name, value in zip(self.__slots__, (anum, start, values, source)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a BFile")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def __len__(self) -> int:
         return len(self.values)
@@ -93,6 +98,7 @@ def _decode(anum: str, data: bytes) -> str:
 
 
 def _fixture_text(anum: str) -> Optional[str]:
+    from importlib import resources  # loaded on the first lookup, not on import
     box = resources.files("ec_riordan") / "oeis_data" / f"{anum}.txt"
     try:
         return box.read_text(encoding="utf-8")
@@ -146,8 +152,7 @@ def load_bfile(
     return bfile
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     matched: bool
     offset: Optional[int]
     compared: int

@@ -16,7 +16,7 @@ serve as the oracle for the DP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional
 
 from .riordan import AMatrix, g_family_params, gamma_family_params, orbit_shift
@@ -29,8 +29,7 @@ class SearchSpaceTooLargeError(ValueError):
     """Exhaustive enumeration refuses x-advance beyond BRUTE_FORCE_LIMIT."""
 
 
-@dataclass(frozen=True)
-class StepSet:
+class StepSet(namedtuple("StepSet", "steps origin_override")):
     """A weighted step alphabet plus an optional origin reweighting.
 
     origin_override, when set, replaces the weight of the entry t[1][0]:
@@ -38,13 +37,13 @@ class StepSet:
     by origin_override instead of the table weight.
     """
 
-    steps: tuple[tuple[int, int, Rat], ...]
-    origin_override: Optional[Rat] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        for dx, dy, _ in self.steps:
+    def __new__(cls, steps: tuple[tuple[int, int, Rat], ...], origin_override: Optional[Rat] = None):
+        for dx, dy, _ in steps:
             if dx not in (1, 2) or dy not in (-1, 0, 1):
                 raise ValueError(f"step ({dx}, {dy}) out of range")
+        return super().__new__(cls, steps, origin_override)
 
     @classmethod
     def of(cls, steps, origin_override: Optional[Rat] = None) -> "StepSet":

@@ -19,9 +19,9 @@ route exactly: g and gamma by the kernel equation, their J-fractions by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._record import Record
 from .curve import Curve
 from .riordan import (
     AMatrix,
@@ -152,21 +152,21 @@ def gamma_coefficient_formula(curve: Curve, n: int) -> Fraction:
 # -- the cross-checking report -----------------------------------------------
 
 
-@dataclass(slots=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.name, self.passed, self.detail = name, passed, detail
 
     def to_dict(self) -> dict:
         return {"name": self.name, "pass": self.passed, "detail": self.detail}
 
 
-@dataclass(slots=True)
-class VerifyReport:
-    curve: dict
-    order: int
-    checks: list[CheckResult] = field(default_factory=list)
+class VerifyReport(Record):
+    __slots__ = ("curve", "order", "checks")
+
+    def __init__(self, curve: dict, order: int, checks: list[CheckResult] | None = None):
+        self.curve, self.order, self.checks = curve, order, [] if checks is None else checks
 
     @property
     def all_pass(self) -> bool:

@@ -15,14 +15,13 @@ the series, which is the independent check on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .series import InsufficientOrderError, Rat, Series
 
 
-@dataclass(frozen=True)
-class AMatrix:
+class AMatrix(NamedTuple):
     """Coefficients of the five-term production recurrence."""
 
     alpha: Fraction

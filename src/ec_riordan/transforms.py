@@ -22,11 +22,11 @@ column 0; evaluation runs this table by rows, extraction by columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .curve import Curve, Point
 from .series import Rat, Series
@@ -147,8 +147,7 @@ def hankel_point_product(curve: Curve, n: int) -> Fraction:
 # -- Somos-4 -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SomosParams:
+class SomosParams(NamedTuple):
     r: Fraction
     s: Fraction
 
@@ -166,8 +165,7 @@ def somos_params_from_amatrix(am) -> SomosParams:
     return SomosParams(d2, d2 * (am.alpha * am.gamma - am.beta + am.gamma ** 2))
 
 
-@dataclass
-class SomosCheck:
+class SomosCheck(NamedTuple):
     """Outcome of a Somos-4 verification.
 
     Indices where the divisor term a_{n-4} vanishes cannot be pinned by the
@@ -176,9 +174,9 @@ class SomosCheck:
     """
 
     ok: bool
-    checked: list[int] = field(default_factory=list)
-    skipped: list[int] = field(default_factory=list)
-    failures: list[int] = field(default_factory=list)
+    checked: list[int]
+    skipped: list[int]
+    failures: list[int]
 
     def __bool__(self) -> bool:
         return self.ok
@@ -208,8 +206,7 @@ def somos_verify(seq: Sequence[Rat], params: SomosParams) -> SomosCheck:
 # -- Jacobi continued fractions ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class JFraction:
+class JFraction(namedtuple("JFraction", "b lam exact")):
     """A truncated J-fraction; depth = len(lam), len(b) in {depth, depth+1}.
 
     `exact` marks a terminating fraction, which evaluates validly to any
@@ -217,16 +214,15 @@ class JFraction:
     it: a truncated series cannot prove that, so extraction never does.
     """
 
-    b: tuple[Fraction, ...]
-    lam: tuple[Fraction, ...]
-    exact: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.b) not in (len(self.lam), len(self.lam) + 1):
+    def __new__(cls, b: tuple[Fraction, ...], lam: tuple[Fraction, ...], exact: bool = False):
+        if len(b) not in (len(lam), len(lam) + 1):
             raise ValueError(
-                f"a depth-{self.depth} J-fraction needs {self.depth} or "
-                f"{self.depth + 1} b values, got {len(self.b)}"
+                f"a depth-{len(lam)} J-fraction needs {len(lam)} or "
+                f"{len(lam) + 1} b values, got {len(b)}"
             )
+        return super().__new__(cls, b, lam, exact)
 
     @property
     def depth(self) -> int:

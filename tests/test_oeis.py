@@ -210,11 +210,13 @@ class TestCacheAndNetwork:
             load_bfile("A999999", cache_dir=tmp_path)
 
 
-def test_cli_import_leaves_the_network_stack_unloaded():
-    # urllib.request loads only when load_bfile fetches
+@pytest.mark.parametrize("module", ["urllib.request", "dataclasses", "inspect", "json", "csv"])
+def test_cli_import_leaves_module_unloaded(module):
+    # urllib.request loads only when load_bfile fetches, json and csv only
+    # for those output formats, dataclasses and inspect never
     src = str(pathlib.Path(ec_riordan.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import ec_riordan.cli; "
-        "sys.exit('urllib.request' in sys.modules)"
+        f"ec_riordan.cli.build_parser(); sys.exit({module!r} in sys.modules)"
     )
     assert subprocess.run([sys.executable, "-I", "-c", code]).returncode == 0

@@ -7,6 +7,7 @@ input (singular curve, bad arguments), 3 sequence lookup or network failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -377,16 +378,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:  # exact values outgrow str()'s digit limit: lift it for this call
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         code, payload, lines, rows = args.func(args, Curve(args.a, args.b, args.c))
+        _emit(args, payload, lines, rows)
+        sys.stdout.flush()
     except (OEISNetworkError, OEISLookupError, OEISFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(args, payload, lines, rows)
+    except BrokenPipeError:  # `| head`: exit 1 quietly, the rest of stdout to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return code
 
 

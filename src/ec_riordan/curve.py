@@ -138,16 +138,20 @@ class Curve:
 
         If some multiple is the point at infinity (P has finite order) the
         list stops there: the infinity point itself is the last entry and
-        acts as the torsion marker.
+        acts as the torsion marker.  Q + P is read off the line y = s*x through P.
         """
         if n_max < 1:
             raise ValueError("n_max must be at least 1")
         pts = [self.base_point]
         for _ in range(1, n_max):
-            nxt = self.add(pts[-1], self.base_point)
-            pts.append(nxt)
-            if nxt.is_infinity:
+            x, y = pts[-1]
+            if x == 0 and y == 1:  # Q = -P
+                pts.append(INFINITY)
                 break
+            s = y / x if x else self.c  # the tangent slope is c at Q = P
+            x = s * s - self.a * s + self.b - x
+            pts.append(Point(x, (self.a - s) * x + 1))
+        self._check(pts[-1])  # once, in place of the operand checks of `add`
         return pts
 
     # -- series branches of y ----------------------------------------------

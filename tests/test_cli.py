@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import ec_riordan
+from ec_riordan import Curve
 from ec_riordan.cli import main
 
 
@@ -208,3 +213,43 @@ class TestOEIS:
         )
         assert code == 0
         assert "offset 1" in out
+
+
+class TestOutputLimits:
+    def test_reader_closing_stdout_early(self):
+        # the csv of 150 multiples is about 400 KB, far more than a pipe
+        # buffers, so the child is still writing when the reader goes away
+        src = str(pathlib.Path(ec_riordan.__file__).resolve().parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); "
+            "from ec_riordan.cli import main; sys.exit(main())"
+        )
+        argv = ["points", "-1", "-2", "-1", "--count", "150", "--format", "csv"]
+        proc = subprocess.Popen(
+            [sys.executable, "-I", "-c", code, *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline().strip() == b"k,x,y"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (1, b"")
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no str() digit limit"
+    )
+    def test_terms_past_the_str_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(
+            capsys, "eds", "-1", "-2", "-1", "--count", "350", "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit  # restored for the caller
+        sys.set_int_max_str_digits(0)
+        try:
+            last = str(Curve(-1, -2, -1).eds(350)[-1])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(last) > 4300  # the interpreter's default limit
+        assert json.loads(out)["eds"][-1] == last

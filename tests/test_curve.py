@@ -43,6 +43,26 @@ def random_curve(rng, span=4):
             continue
 
 
+def random_rational_curve(rng, span=2, den=3):
+    while True:
+        a, b, c = (F(rng.randint(-span, span), rng.randint(1, den)) for _ in range(3))
+        try:
+            return Curve(a, b, c)
+        except SingularCurveError:
+            continue
+
+
+def multiples_by_add(cur, n):
+    """[1P, ..., nP] by the general group law, stopping at infinity."""
+    pts = [cur.base_point]
+    while len(pts) < n and not pts[-1].is_infinity:
+        pts.append(cur.add(pts[-1], cur.base_point))
+    return pts
+
+
+TORSION = {(3, 2, 2): 3, (-4, 0, -4): 3, (-3, F(-3, 2), F(1, 2)): 4}
+
+
 class TestConstruction:
     def test_invariants_of_worked_curve(self):
         cur = Curve(*E1)
@@ -125,12 +145,53 @@ class TestMultiples:
             assert pts[1] == Point(F(0), F(1))
 
     def test_consistent_with_repeated_addition(self):
+        # every count on the worked and torsion curves; on 300 drawn curves
+        # the full 30 and one count of 1..29 in turn, so each count meets
+        # ten curves (every count on every curve would cost about 4 s)
+        for abc, order in [(E1, None), *TORSION.items()]:
+            cur = Curve(*abc)
+            oracle = multiples_by_add(cur, 30)
+            assert oracle[-1].is_infinity == (order is not None)
+            assert order is None or len(oracle) == order
+            for n in range(1, 31):
+                assert cur.multiples(n) == oracle[:n]
+        rng = random.Random(23)
+        torsion = 0
+        for i in range(300):
+            cur = random_rational_curve(rng)
+            oracle = multiples_by_add(cur, 30)
+            torsion += oracle[-1].is_infinity
+            for n in (30, 1 + i % 29):
+                assert cur.multiples(n) == oracle[:n]
+        assert torsion >= 20  # the drawn curves reach the infinity branch too
+
+    def test_corrupted_step_fails_the_last_point_check(self):
+        # the chord step reads b, the curve check reads a2 = -b fixed at
+        # construction, so a changed b corrupts every step after P; b + 1
+        # would be a curve on which P has order 3, and the list would stop
+        # at (0, 1), which lies on every curve of the family
         cur = Curve(*E1)
-        pts = cur.multiples(6)
-        acc = cur.base_point
-        for pt in pts[1:]:
-            acc = cur.add(acc, cur.base_point)
-            assert acc == pt
+        cur.b += F(1, 3)
+        with pytest.raises(PointNotOnCurveError):
+            cur.multiples(5)
+
+    def test_change_of_variables_keeps_x_and_shears_y(self):
+        # y -> y + s*x fixes P and maps the curve (a, b, c) to
+        # (a - 2s, b - a*s + s^2, c - s): the x of every multiple stays and
+        # y moves by -s*x, a relation that neither `add` nor the chord loop uses
+        rng = random.Random(24)
+        for _ in range(200):
+            cur = random_rational_curve(rng, span=3, den=4)
+            a, b, c = cur.a, cur.b, cur.c
+            s = F(rng.randint(-3, 3), rng.randint(1, 4))
+            pts = cur.multiples(12)
+            twin = Curve(a - 2 * s, b - a * s + s * s, c - s).multiples(12)
+            assert len(twin) == len(pts)
+            for p, q in zip(pts, twin):
+                if p.is_infinity:
+                    assert q.is_infinity
+                else:
+                    assert (q.x, q.y) == (p.x, p.y - s * p.x)
 
 
 class TestEDS:

@@ -213,10 +213,11 @@ class TestCacheAndNetwork:
 @pytest.mark.parametrize("module", ["urllib.request", "dataclasses", "inspect", "json", "csv"])
 def test_cli_import_leaves_module_unloaded(module):
     # urllib.request loads only when load_bfile fetches, json and csv only
-    # for those output formats, dataclasses and inspect never
+    # for those output formats, dataclasses and inspect never; -S keeps out
+    # what an interpreter's site hooks load before any user code runs
     src = str(pathlib.Path(ec_riordan.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import ec_riordan.cli; "
         f"ec_riordan.cli.build_parser(); sys.exit({module!r} in sys.modules)"
     )
-    assert subprocess.run([sys.executable, "-I", "-c", code]).returncode == 0
+    assert subprocess.run([sys.executable, "-I", "-S", "-c", code]).returncode == 0

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -48,7 +49,7 @@ def _rat(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a rational number: {text.strip()!r}")
 
 
 def _emit(args, payload: dict, lines: list[str], rows: list[list]) -> None:
@@ -381,6 +382,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     limit = getattr(sys, "get_int_max_str_digits", int)()
     if limit:  # exact values outgrow str()'s digit limit: lift it for this call
         sys.set_int_max_str_digits(0)
+    # argparse reads -1/3 as an option: a leading space, which Fraction and
+    # int ignore, makes a value of each token that starts with "-" and a digit
+    argv = sys.argv[1:] if argv is None else argv
+    argv = [" " + t if re.match(r"-[\d.]", t) else t for t in argv]
     try:
         args = build_parser().parse_args(argv)
         code, payload, lines, rows = args.func(args, Curve(args.a, args.b, args.c))

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
+from sys import intern
 
 from ._record import Record
 from .curve import Curve
@@ -181,108 +183,68 @@ class VerifyReport(Record):
         }
 
 
-def _sign(v: Fraction) -> int:
-    return (v > 0) - (v < 0)
-
-
 def full_verify(curve: Curve, order: int = 24) -> VerifyReport:
     """Run every derivation route on one curve and cross-check exactly."""
     if order < 9:
         raise ValueError("order must be at least 9")
-    report = VerifyReport(curve=curve.to_dict(), order=order)
-    checks = report.checks
-    shift = curve.a - 2 * curve.c + 1
-
+    a, b, c = curve.a, curve.b, curve.c
+    shift = a - 2 * c + 1
     g = derive_g(curve, order)
     gamma = g.binomial(shift)
-    am_g = g_family_params(curve.a, curve.b, curve.c)
-    am_gamma = gamma_family_params(curve.a, curve.b, curve.c)
-
-    # the kernel equation has one power-series solution, the closed form
-    ok = verify_kernel(g.shift_up(1), am_g)
-    checks.append(
-        CheckResult("g reversion vs closed form", ok, f"{order} coefficients")
+    am_g, am_gamma = g_family_params(a, b, c), gamma_family_params(a, b, c)
+    families = (  # name, series, A-matrix, step-set builder, binomial shift
+        ("g", g, am_g, stepset_for_g, Fraction(0)),
+        ("gamma", gamma, am_gamma, stepset_for_gamma, shift),
     )
-
-    ok = verify_kernel(gamma.shift_up(1), am_gamma)
-    checks.append(
-        CheckResult(
-            "gamma binomial vs closed form",
-            ok,
-            f"binomial parameter {shift}, {order} coefficients",
-        )
-    )
-
-    n_formula = min(order, 15)
-    ok = all(_coefficient_sum(am_g, n) == g[n] for n in range(n_formula))
-    checks.append(
-        CheckResult("g coefficient formula", ok, f"n < {n_formula}")
-    )
-    ok = all(_coefficient_sum(am_gamma, n) == gamma[n] for n in range(n_formula))
-    checks.append(
-        CheckResult("gamma coefficient formula", ok, f"n < {n_formula}")
-    )
-
-    rows = min(order, 12)
-    bell_g = riordan_build(g, g.shift_up(1).truncate(g.order), rows)
-    ok = dp_count(stepset_for_g(curve), rows) == bell_g.rows
-    checks.append(CheckResult("lattice DP vs Riordan rows (g)", ok, f"{rows} rows"))
-    bell_gamma = riordan_build(gamma, gamma.shift_up(1).truncate(gamma.order), rows)
-    ok = dp_count(stepset_for_gamma(curve), rows) == bell_gamma.rows
-    checks.append(
-        CheckResult("lattice DP vs Riordan rows (gamma)", ok, f"{rows} rows")
-    )
-
-    count = (order + 1) // 2
+    n_formula, rows, count = min(order, 15), min(order, 12), (order + 1) // 2
     jf_g, h = _hankel_jfrac(g.prefix(2 * count - 1), count)
-    params = somos_params(curve)
-    params_g = somos_params_from_amatrix(am_g)
-    params_pair = somos_params_from_amatrix(am_gamma)
-    sv = somos_verify(h, params)
-    ok = bool(sv) and params == params_g == params_pair
-    detail = f"(r, s) = ({params.r}, {params.s}); checked {len(sv.checked)} indices"
-    if sv.skipped:
-        detail += f"; skipped zero divisors at {sv.skipped}"
-    checks.append(CheckResult("Hankel Somos-4", ok, detail))
+    # depth (order-1)//2 reads 2*depth + 1 <= order coefficients, so every lambda is
+    # compared; torsion ends the multiples at [m-1]P = -P = (0, 1): both rows skip
+    pts = curve.multiples(count)
+    depth = len(pts) - 1 - pts[-1].is_infinity
+    condition = a * c - b - c * c == 0
 
-    w = curve.eds(count + 1)
-    ok = all(abs(w[n + 2]) == abs(h[n]) for n in range(count))
-    signs = "".join(
-        "0" if h[n] == 0 else ("+" if _sign(w[n + 2]) == _sign(h[n]) else "-")
-        for n in range(count)
-    )
-    checks.append(
-        CheckResult(
-            "EDS magnitude vs Hankel", ok, f"n < {count}; sign vector {signs}"
-        )
-    )
-
-    # depth (order-1)//2 reads 2*depth + 1 <= order coefficients, so every
-    # lambda is compared; g's fraction is the one the minors were read off
-    depth = count - 1
-    pts = curve.multiples(depth + 1)
-    if pts[-1].is_infinity:  # then [m-1]P = -P = (0, 1) skips both checks
-        depth = len(pts) - 2
-    for name, jf_shift, extract in (
-        ("J-fraction from points (g)", Fraction(0), lambda: jf_g),
-        ("J-fraction from points (gamma)", shift, lambda: jfrac_extract(gamma, depth)),
-    ):
+    def formula(s, am):
+        return all(_coefficient_sum(am, n) == s[n] for n in range(n_formula)), f"n < {n_formula}"
+    def lattice(s, stepset):
+        bell = riordan_build(s, s.shift_up(1).truncate(s.order), rows)
+        return dp_count(stepset(curve), rows) == bell.rows, f"{rows} rows"
+    def somos():
+        params = somos_params(curve)
+        sv = somos_verify(h, params)
+        ok = bool(sv) and all(somos_params_from_amatrix(am) == params for am in (am_g, am_gamma))
+        skipped = f"; skipped zero divisors at {sv.skipped}" if sv.skipped else ""
+        return ok, f"(r, s) = ({params.r}, {params.s}); checked {len(sv.checked)} indices{skipped}"
+    def eds():
+        w = curve.eds(count + 1)[2:]
+        signs = "".join("0" if y == 0 else "+" if x * y > 0 else "-" for x, y in zip(w, h))
+        return all(abs(x) == abs(y) for x, y in zip(w, h)), f"n < {count}; sign vector {signs}"
+    def points(s, jf_shift):  # g's fraction is the one the minors were read off
         try:
             jf = _jfrac_from_multiples(curve, pts, jf_shift, depth)
         except ZeroXCoordinateError as exc:
-            checks.append(CheckResult(name, True, f"skipped: {exc}"))
-            continue
-        ok = extract() == jf
-        checks.append(CheckResult(name, ok, f"depth {depth}, {2 * depth} coefficients"))
+            return True, f"skipped: {exc}"
+        ok = (jf_g if s is g else jfrac_extract(s, depth)) == jf
+        return ok, f"depth {depth}, {2 * depth} coefficients"
 
-    condition = curve.a * curve.c - curve.b - curve.c * curve.c == 0
-    ok = pseudo_involution_check(gamma, rows) == condition
-    checks.append(
-        CheckResult(
-            "pseudo-involution iff a*c - b - c^2 = 0",
-            ok,
-            f"condition {'holds' if condition else 'fails'}, {rows} rows",
-        )
-    )
-
-    return report
+    table = [  # one row per check: its name, and a callable returning (passed, detail)
+        # the kernel equation has one power-series solution, the closed form
+        ("g reversion vs closed form",
+         lambda: (verify_kernel(g.shift_up(1), am_g), f"{order} coefficients")),
+        ("gamma binomial vs closed form",
+         lambda: (verify_kernel(gamma.shift_up(1), am_gamma),
+                  f"binomial parameter {shift}, {order} coefficients")),
+        *((f"{name} coefficient formula", partial(formula, s, am))
+          for name, s, am, _, _ in families),
+        *((f"lattice DP vs Riordan rows ({name})", partial(lattice, s, stepset))
+          for name, s, _, stepset, _ in families),
+        ("Hankel Somos-4", somos),
+        ("EDS magnitude vs Hankel", eds),
+        *((f"J-fraction from points ({name})", partial(points, s, jf_shift))
+          for name, s, _, _, jf_shift in families),
+        ("pseudo-involution iff a*c - b - c^2 = 0",
+         lambda: (pseudo_involution_check(gamma, rows) == condition,
+                  f"condition {'holds' if condition else 'fails'}, {rows} rows")),
+    ]
+    # interned names: the reports a caller keeps share one copy of each
+    return VerifyReport(curve.to_dict(), order, [CheckResult(intern(n), *f()) for n, f in table])

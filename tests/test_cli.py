@@ -20,6 +20,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def console(*argv) -> list[str]:
+    """A child interpreter that runs main() on sys.argv, as the console script does."""
+    src = str(pathlib.Path(ec_riordan.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "from ec_riordan.cli import main; sys.exit(main())"
+    )
+    return [sys.executable, "-I", "-c", code, *argv]
+
+
 class TestDerive:
     def test_text(self, capsys):
         code, out, err = run(capsys, "derive", "-1", "-2", "-1", "--order", "7")
@@ -100,6 +110,48 @@ class TestErrors:
         with pytest.raises(SystemExit) as info:
             main(["--version"])
         assert info.value.code == 0
+
+    def test_bad_negative_rational_is_named_as_given(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["derive", "-1x", "0", "0"])
+        assert info.value.code == 2
+        assert "not a rational number: '-1x'" in capsys.readouterr().err
+
+
+# argparse alone reads a bare -1/3 as an option; each bare form must run
+# exactly like the `--` or `=` form that always worked
+NEGATIVE_RATIONAL_FORMS = [
+    (
+        ["verify", "1/2", "-1/3", "2/5", "--order", "10"],
+        ["verify", "--order", "10", "--", "1/2", "-1/3", "2/5"],
+    ),
+    (
+        ["jfrac", "-1", "-2", "-1", "--shift", "-1/2"],
+        ["jfrac", "-1", "-2", "-1", "--shift=-1/2"],
+    ),
+    (
+        ["paths", "-1", "-2", "-1", "--family", "orbit", "--r", "-1/2"],
+        ["paths", "-1", "-2", "-1", "--family", "orbit", "--r=-1/2"],
+    ),
+    (
+        ["derive", "-1/2", "-.5", "-3/4", "--order", "6", "--format", "json"],
+        ["derive", "--order", "6", "--format", "json", "--", "-1/2", "-.5", "-3/4"],
+    ),
+]
+
+
+class TestNegativeRationals:
+    @pytest.mark.parametrize("bare, reference", NEGATIVE_RATIONAL_FORMS)
+    def test_bare_form_runs_like_reference(self, capsys, bare, reference):
+        expected = run(capsys, *reference)
+        assert expected[0] == 0
+        assert run(capsys, *bare) == expected
+
+    def test_console_arguments(self, capsys):
+        bare, reference = NEGATIVE_RATIONAL_FORMS[0]
+        expected = run(capsys, *reference)
+        proc = subprocess.run(console(*bare), capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
 
 class TestPaths:
@@ -219,14 +271,9 @@ class TestOutputLimits:
     def test_reader_closing_stdout_early(self):
         # the csv of 150 multiples is about 400 KB, far more than a pipe
         # buffers, so the child is still writing when the reader goes away
-        src = str(pathlib.Path(ec_riordan.__file__).resolve().parents[1])
-        code = (
-            f"import sys; sys.path.insert(0, {src!r}); "
-            "from ec_riordan.cli import main; sys.exit(main())"
-        )
         argv = ["points", "-1", "-2", "-1", "--count", "150", "--format", "csv"]
         proc = subprocess.Popen(
-            [sys.executable, "-I", "-c", code, *argv],
+            console(*argv),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         )

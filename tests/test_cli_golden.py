@@ -68,7 +68,7 @@ ERRORS = [
 def _argv(command, abc, options, extra, fmt):
     options = options + ["--format", fmt]
     if abc == RATIONAL:
-        # argparse would read -1/3 as an option, so positionals go after --
+        # the frozen keys keep the `--` form; test_cli runs the bare form against it
         return [command, *options, "--", *abc, *extra]
     return [command, *abc, *extra, *options]
 

@@ -250,6 +250,24 @@ class TestPseudoInvolution:
             gam = derive_gamma(Curve(*abc), 14)
             assert pseudo_involution_check(gam, 12)
 
+    def test_exactly_when_the_base_point_has_order_three(self):
+        # the tangent at P gives x([2]P) = c^2 - a*c + b, so a*c - b - c^2 = 0
+        # exactly when [2]P = (0, 1) = -P; every third curve is drawn with
+        # b = a*c - c^2, so both verdicts occur often
+        rng = random.Random(28)
+        verdicts = []
+        for n in range(150):
+            a, c = (F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(2))
+            b = a * c - c * c if n % 3 == 0 else F(rng.randint(-4, 4), rng.randint(1, 4))
+            try:
+                cur = Curve(a, b, c)
+            except SingularCurveError:
+                continue
+            verdict = pseudo_involution_check(derive_gamma(cur, 12), 12)
+            assert verdict == cur.multiples(3)[-1].is_infinity, (a, b, c)
+            verdicts.append(verdict)
+        assert verdicts.count(True) >= 40 and verdicts.count(False) >= 80
+
     def test_worked_curve_is_not(self):
         gam = derive_gamma(Curve(*E1), 14)
         assert not pseudo_involution_check(gam, 12)

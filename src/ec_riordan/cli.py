@@ -79,7 +79,7 @@ def _family_series(args, curve: Curve, order: int) -> Series:
 
 def _cmd_derive(args, curve: Curve):
     g = derive_g(curve, args.order)
-    shift = curve.a - 2 * curve.c + 1
+    shift = curve.p + 1
     gamma = g.binomial(shift)
     am_g = g_family_params(curve.a, curve.b, curve.c)
     am_gamma = gamma_family_params(curve.a, curve.b, curve.c)

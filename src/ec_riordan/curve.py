@@ -1,8 +1,8 @@
 """Elliptic curves y^2 - a*xy - y = x^3 - b*x^2 - c*x with base point (0, 0).
 
-In long Weierstrass form y^2 + a1*xy + a3*y = x^3 + a2*x^2 + a4*x + a6 the
-family has a1 = -a, a2 = -b, a3 = -1, a4 = -c, a6 = 0, so (0, 0) always lies
-on the curve.  The module provides the full chord-and-tangent group law,
+The curve has no constant term, so (0, 0) always lies on it, and its
+invariants depend on (a, b, c) only through p = a - 2c and
+q = b - ac + c^2.  The module provides the full chord-and-tangent group law,
 multiples of the base point, the two series branches of y over Q[[x]], and
 the elliptic divisibility sequence psi_n(0, 0).
 """
@@ -54,28 +54,14 @@ class Curve:
         self.a = Fraction(a)
         self.b = Fraction(b)
         self.c = Fraction(c)
-        # long Weierstrass coefficients
-        self.a1 = -self.a
-        self.a2 = -self.b
-        self.a3 = Fraction(-1)
-        self.a4 = -self.c
-        self.a6 = Fraction(0)
-        # standard b-invariants and discriminant
-        self.b2 = self.a1 * self.a1 + 4 * self.a2
-        self.b4 = 2 * self.a4 + self.a1 * self.a3
-        self.b6 = self.a3 * self.a3 + 4 * self.a6
-        self.b8 = (
-            self.a1 * self.a1 * self.a6
-            + 4 * self.a2 * self.a6
-            - self.a1 * self.a3 * self.a4
-            + self.a2 * self.a3 * self.a3
-            - self.a4 * self.a4
-        )
+        # the family enters every invariant only through p and q
+        p = self.p = self.a - 2 * self.c
+        q = self.q = self.b - self.a * self.c + self.c * self.c
+        # the standard b-invariants and discriminant of the long Weierstrass
+        # form (Silverman III.1), written in p and q
+        self.b2, self.b4, self.b6, self.b8 = p * p - 4 * q, p, Fraction(1), -q
         self.discriminant = (
-            -self.b2 * self.b2 * self.b8
-            - 8 * self.b4 ** 3
-            - 27 * self.b6 * self.b6
-            + 9 * self.b2 * self.b4 * self.b6
+            p**4 * q + p**3 - 8 * p * p * q * q - 36 * p * q + 16 * q**3 - 27
         )
         if self.discriminant == 0:
             raise SingularCurveError(
@@ -95,9 +81,7 @@ class Curve:
         if pt.is_infinity:
             return True
         x, y = pt.x, pt.y
-        lhs = y * y + self.a1 * x * y + self.a3 * y
-        rhs = x ** 3 + self.a2 * x * x + self.a4 * x + self.a6
-        return lhs == rhs
+        return y * (y - self.a * x - 1) == x * (x * x - self.b * x - self.c)
 
     def _check(self, pt: Point) -> None:
         if not self.contains(pt):
@@ -107,10 +91,15 @@ class Curve:
         self._check(pt)
         if pt.is_infinity:
             return pt
-        return Point(pt.x, -pt.y - self.a1 * pt.x - self.a3)
+        return Point(pt.x, self.a * pt.x + 1 - pt.y)
 
     def add(self, p: Point, q: Point) -> Point:
-        """Chord-and-tangent addition in long Weierstrass form."""
+        """Chord-and-tangent addition on the curve equation.
+
+        The line of slope lam through p and q (the tangent when p = q)
+        meets the curve a third time at x3 = lam^2 - a*lam + b - x1 - x2;
+        the sum is the negation of that third point.
+        """
         self._check(p)
         self._check(q)
         if p.is_infinity:
@@ -119,19 +108,16 @@ class Curve:
             return p
         x1, y1 = p.x, p.y
         x2, y2 = q.x, q.y
-        if x1 == x2 and y1 + y2 + self.a1 * x2 + self.a3 == 0:
+        if x1 == x2 and y1 + y2 == self.a * x2 + 1:
             return INFINITY
-        if x1 == x2:
-            # tangent line at p (= q)
-            denom = 2 * y1 + self.a1 * x1 + self.a3
-            lam = (3 * x1 * x1 + 2 * self.a2 * x1 + self.a4 - self.a1 * y1) / denom
-            nu = (-(x1 ** 3) + self.a4 * x1 + 2 * self.a6 - self.a3 * y1) / denom
+        if x1 == x2:  # the tangent at p = q, by implicit differentiation
+            lam = (3 * x1 * x1 - 2 * self.b * x1 - self.c + self.a * y1) / (
+                2 * y1 - self.a * x1 - 1
+            )
         else:
             lam = (y2 - y1) / (x2 - x1)
-            nu = (y1 * x2 - y2 * x1) / (x2 - x1)
-        x3 = lam * lam + self.a1 * lam - self.a2 - x1 - x2
-        y3 = -(lam + self.a1) * x3 - nu - self.a3
-        return Point(x3, y3)
+        x3 = lam * lam - self.a * lam + self.b - x1 - x2
+        return Point(x3, (self.a - lam) * x3 + lam * x1 - y1 + 1)
 
     def multiples(self, n_max: int) -> list[Point]:
         """[1P, 2P, ..., n_max*P] for P = (0, 0).
@@ -160,14 +146,12 @@ class Curve:
         """The two power-series roots y1, y2 of the curve equation over Q[[x]].
 
         Treating the equation as a quadratic in y,
-        y = ((1 + a*x) -/+ sqrt(1 + 2(a-2c)x + (a^2-4b)x^2 + 4x^3)) / 2,
+        y = ((1 + a*x) -/+ sqrt(1 + 2p*x + b2*x^2 + 4x^3)) / 2,
         where y1 (minus branch) is the root through the base point:
         y1 = 0 + c*x + ...  Checks: y1 + y2 = 1 + a*x and
         y1*y2 = -(x^3 - b*x^2 - c*x).
         """
-        radicand = Series.poly(
-            [1, 2 * (self.a - 2 * self.c), self.a * self.a - 4 * self.b, 4], order
-        )
+        radicand = Series.poly([1, 2 * self.p, self.b2, 4], order)
         root = radicand.sqrt()
         linear = Series.poly([1, self.a], order)
         y1 = (linear - root) / 2
@@ -179,21 +163,15 @@ class Curve:
     def eds(self, n_max: int) -> list[Fraction]:
         """W_n = psi_n(0, 0) for n = 0 .. n_max.
 
-        Initial values at P = (0, 0): psi_1 = 1, psi_2 = a3 = -1,
-        psi_3 = b8, psi_4 = a3*(b4*b8 - b6^2); later terms follow the
-        standard odd/even recurrences
+        Initial values at P = (0, 0): psi_1 = 1, psi_2 = -1, psi_3 = -q
+        and psi_4 = 1 + p*q; later terms follow the standard odd/even
+        recurrences
           psi_{2m+1} = psi_{m+2} psi_m^3 - psi_{m-1} psi_{m+1}^3,
           psi_{2m}   = psi_m (psi_{m+2} psi_{m-1}^2 - psi_{m-2} psi_{m+1}^2) / psi_2.
         """
         if n_max < 0:
             raise ValueError("n_max must be nonnegative")
-        w = [
-            Fraction(0),
-            Fraction(1),
-            self.a3,
-            self.b8,
-            self.a3 * (self.b4 * self.b8 - self.b6 * self.b6),
-        ]
+        w = [Fraction(0), Fraction(1), Fraction(-1), -self.q, 1 + self.p * self.q]
         for n in range(5, n_max + 1):
             m = n // 2
             if n % 2 == 1:

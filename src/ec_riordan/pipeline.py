@@ -4,7 +4,8 @@ From the curve's series branch y1 the paper's chain is
 
     z = (y1 - c*x)/x^2,   G = x/(1 - x - x^2 z),   g = revert(G)/x,
 
-followed by gamma = binomial transform of g with parameter a - 2c + 1.
+followed by gamma = binomial transform of g with parameter p + 1, where
+p = a - 2c (Curve.p).
 derive_g computes it on integers, scaled by d, the lcm of the
 denominators of a, b and c: y1(dx) by a recurrence from the curve
 equation, and g by Lagrange inversion of the denominator of G at dx.
@@ -89,8 +90,8 @@ def closed_form_g(curve: Curve, order: int) -> Series:
 
 
 def derive_gamma(curve: Curve, order: int) -> Series:
-    """The binomial transform of g with parameter a - 2c + 1."""
-    return derive_g(curve, order).binomial(curve.a - 2 * curve.c + 1)
+    """The binomial transform of g with parameter p + 1 = a - 2c + 1."""
+    return derive_g(curve, order).binomial(curve.p + 1)
 
 
 # -- explicit coefficient formulas -------------------------------------------
@@ -187,11 +188,11 @@ def full_verify(curve: Curve, order: int = 24) -> VerifyReport:
     """Run every derivation route on one curve and cross-check exactly."""
     if order < 9:
         raise ValueError("order must be at least 9")
-    a, b, c = curve.a, curve.b, curve.c
-    shift = a - 2 * c + 1
+    abc = curve.a, curve.b, curve.c
+    shift = curve.p + 1
     g = derive_g(curve, order)
     gamma = g.binomial(shift)
-    am_g, am_gamma = g_family_params(a, b, c), gamma_family_params(a, b, c)
+    am_g, am_gamma = g_family_params(*abc), gamma_family_params(*abc)
     families = (  # name, series, A-matrix, step-set builder, binomial shift
         ("g", g, am_g, stepset_for_g, Fraction(0)),
         ("gamma", gamma, am_gamma, stepset_for_gamma, shift),
@@ -202,7 +203,7 @@ def full_verify(curve: Curve, order: int = 24) -> VerifyReport:
     # compared; torsion ends the multiples at [m-1]P = -P = (0, 1): both rows skip
     pts = curve.multiples(count)
     depth = len(pts) - 1 - pts[-1].is_infinity
-    condition = a * c - b - c * c == 0
+    condition = curve.q == 0
 
     def formula(s, am):
         return all(_coefficient_sum(am, n) == s[n] for n in range(n_formula)), f"n < {n_formula}"

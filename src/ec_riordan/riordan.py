@@ -48,19 +48,12 @@ class AMatrix(NamedTuple):
         )
 
 
-def g_family_params(a: Rat, b: Rat, c: Rat) -> AMatrix:
-    """A-matrix of the reverted-series array for curve parameters (a, b, c)."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    return AMatrix(
-        alpha=2 * (c - 1) - a,
-        beta=a * (c - 1) - b - (c - 1) ** 2,
-        gamma=a - 2 * c + 1,
-        delta=Fraction(1),
-    )
-
-
 def gamma_family_params(a: Rat, b: Rat, c: Rat) -> AMatrix:
-    """A-matrix of the binomially reduced array for curve parameters."""
+    """A-matrix (p, -q, 0, 1) of the binomially reduced array.
+
+    p = a - 2c and q = b - ac + c^2 are the two combinations of the curve
+    parameters that every object of the family depends on (Curve.p, Curve.q).
+    """
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     return AMatrix(
         alpha=a - 2 * c,
@@ -68,6 +61,16 @@ def gamma_family_params(a: Rat, b: Rat, c: Rat) -> AMatrix:
         gamma=Fraction(0),
         delta=Fraction(1),
     )
+
+
+def g_family_params(a: Rat, b: Rat, c: Rat) -> AMatrix:
+    """A-matrix of the reverted-series array: gamma's, shifted by -(p + 1).
+
+    g is the binomial transform of gamma with parameter -(p + 1), so its
+    A-matrix is (-p - 2, -q - p - 1, p + 1, 1).
+    """
+    am = gamma_family_params(a, b, c)
+    return orbit_shift(am, -1 - am.alpha)
 
 
 def orbit_shift(am: AMatrix, r: Rat) -> AMatrix:

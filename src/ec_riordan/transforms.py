@@ -153,10 +153,8 @@ class SomosParams(NamedTuple):
 
 
 def somos_params(curve: Curve) -> SomosParams:
-    """(r, s) with h_n h_{n-4} = r h_{n-1} h_{n-3} + s h_{n-2}^2: (1, -ac+b+c^2)."""
-    return SomosParams(
-        Fraction(1), -curve.a * curve.c + curve.b + curve.c * curve.c
-    )
+    """(r, s) with h_n h_{n-4} = r h_{n-1} h_{n-3} + s h_{n-2}^2: (1, q)."""
+    return SomosParams(Fraction(1), curve.q)
 
 
 def somos_params_from_amatrix(am) -> SomosParams:

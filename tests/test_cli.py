@@ -220,6 +220,12 @@ class TestJfrac:
         assert code == 0
         assert "agree" in out
 
+    def test_depth_one(self, capsys):
+        code, out, _ = run(capsys, "jfrac", "-1", "-2", "-1", "--depth", "1")
+        assert code == 0
+        assert "from points: b = [-1]; lambda = [2]" in out
+        assert "the two routes agree" in out
+
     def test_series_only(self, capsys):
         code, out, _ = run(
             capsys,

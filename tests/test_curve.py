@@ -60,6 +60,22 @@ def multiples_by_add(cur, n):
     return pts
 
 
+def long_form_invariants(a, b, c):
+    """(b2, b4, b6, b8, discriminant) from the long Weierstrass coefficients.
+
+    The family is y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 with
+    a1 = -a, a2 = -b, a3 = -1, a4 = -c, a6 = 0; the formulas are the
+    generic ones (Silverman III.1), an oracle for `Curve`'s (p, q) forms.
+    """
+    a1, a2, a3, a4, a6 = -F(a), -F(b), F(-1), -F(c), F(0)
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    return b2, b4, b6, b8, disc
+
+
 TORSION = {(3, 2, 2): 3, (-4, 0, -4): 3, (-3, F(-3, 2), F(1, 2)): 4}
 
 
@@ -72,6 +88,32 @@ class TestConstruction:
     def test_singular_rejected(self):
         with pytest.raises(SingularCurveError):
             Curve(1, 2, 0)
+
+    def test_p_q_invariants_match_the_long_form(self):
+        # seeded rational and small integer triples, singular ones included:
+        # Curve raises exactly when the long-form discriminant vanishes
+        rng = random.Random(18)
+        triples = [(1, 2, 0), (3, 0, 0), (0, 0, 0), E1]
+        triples += [
+            tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3))
+            for _ in range(200)
+        ]
+        triples += [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(200)]
+        # p = 3, q = 0 zeroes the discriminant (27 - 27); these triples have it
+        ts = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(20)]
+        triples += [(3 + 2 * t, t * (3 + t), t) for t in ts]
+        singular = 0
+        for abc in triples:
+            *invariants, disc = long_form_invariants(*abc)
+            if disc == 0:
+                singular += 1
+                with pytest.raises(SingularCurveError):
+                    Curve(*abc)
+                continue
+            cur = Curve(*abc)
+            assert (cur.b2, cur.b4, cur.b6, cur.b8, cur.discriminant) == (*invariants, disc)
+            assert (cur.b4, cur.b8) == (cur.p, -cur.q)
+        assert singular >= 25  # the singular branch is reached, not only (1, 2, 0)
 
     def test_all_zero_curve_is_fine(self):
         assert Curve(0, 0, 0).discriminant == -27
@@ -165,15 +207,15 @@ class TestMultiples:
                 assert cur.multiples(n) == oracle[:n]
         assert torsion >= 20  # the drawn curves reach the infinity branch too
 
-    def test_corrupted_step_fails_the_last_point_check(self):
-        # the chord step reads b, the curve check reads a2 = -b fixed at
-        # construction, so a changed b corrupts every step after P; b + 1
-        # would be a curve on which P has order 3, and the list would stop
-        # at (0, 1), which lies on every curve of the family
+    def test_corrupted_step_fails_the_last_point_check(self, monkeypatch):
+        # the chord steps never check a point, so a start off the curve
+        # carries through every step; only the check of the last point
+        # sees it
+        monkeypatch.setattr(Curve, "base_point", property(lambda self: Point(F(1), F(1))))
         cur = Curve(*E1)
-        cur.b += F(1, 3)
-        with pytest.raises(PointNotOnCurveError):
-            cur.multiples(5)
+        for n in range(1, 8):
+            with pytest.raises(PointNotOnCurveError):
+                cur.multiples(n)
 
     def test_change_of_variables_keeps_x_and_shears_y(self):
         # y -> y + s*x fixes P and maps the curve (a, b, c) to
@@ -208,9 +250,11 @@ class TestEDS:
             cur = random_curve(rng)
             w = cur.eds(4)
             assert w[0] == 0 and w[1] == 1
+            # psi_2 = a3, psi_3 = b8, psi_4 = a3 (b4 b8 - b6^2) in long form
+            _, b4, b6, b8, _ = long_form_invariants(cur.a, cur.b, cur.c)
             assert w[2] == -1
-            assert w[3] == cur.b8
-            assert w[4] == -(cur.b4 * cur.b8 - cur.b6 * cur.b6)
+            assert w[3] == b8
+            assert w[4] == -(b4 * b8 - b6 * b6)
 
     def test_bilinear_identity(self):
         rng = random.Random(15)

@@ -81,6 +81,24 @@ class TestParams:
             assert am.alpha == a - 2 * c
             assert am.beta == a * c - b - c * c
 
+    def test_against_explicit_formulas_and_p_q(self):
+        # g's A-matrix is gamma's moved along the orbit; the explicit
+        # formula in a, b, c is the oracle for that shift
+        rng = random.Random(25)
+        done = 0
+        while done < 200:
+            a, b, c = (F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(3))
+            try:
+                cur = Curve(a, b, c)
+            except SingularCurveError:
+                continue
+            done += 1
+            explicit = AMatrix.of(
+                2 * (c - 1) - a, a * (c - 1) - b - (c - 1) ** 2, a - 2 * c + 1, 1
+            )
+            assert g_family_params(a, b, c) == explicit
+            assert gamma_family_params(a, b, c) == AMatrix(cur.p, -cur.q, 0, 1)
+
 
 class TestOrbit:
     def test_composes_additively(self):

@@ -369,6 +369,9 @@ class TestJFractionExtract:
         jf = JFraction((F(1), F(1)), (F(1), F(1)))
         with pytest.raises(InsufficientDepthError):
             jfrac_eval(jf, 5)
+        # an even order pins the depth named: order 2d + 2 needs d + 1
+        with pytest.raises(InsufficientDepthError, match="^order 6 needs depth >= 3, have 2$"):
+            jfrac_eval(jf, 6)
 
 
 class TestJFractionPaths:
@@ -429,6 +432,11 @@ class TestJFractionFromPoints:
         jf = jfrac_from_points(Curve(*E1), 0, 4)
         assert jf.b == (F(-1), F(-3, 2), F(5, 2), F(-39, 7))
         assert jf.lam == (F(2), F(1, 4), F(-14), F(-16, 49))
+
+    def test_depth_one_and_zero(self):
+        assert jfrac_from_points(Curve(*E1), 0, 1) == JFraction((F(-1),), (F(2),))
+        with pytest.raises(ValueError, match="depth must be at least 1"):
+            jfrac_from_points(Curve(*E1), 0, 0)
 
     def test_matches_extraction_across_curves_and_shifts(self):
         rng = random.Random(46)

@@ -58,9 +58,7 @@ def _emit(args, payload: dict, lines: list[str], rows: list[list]) -> None:
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
         import csv
-        writer = csv.writer(sys.stdout)
-        for row in rows:
-            writer.writerow(row)
+        csv.writer(sys.stdout).writerows(rows)
     else:
         for line in lines:
             print(line)
@@ -115,9 +113,7 @@ def _cmd_verify(args, curve: Curve):
         f"{'PASS' if ch.passed else 'FAIL'}  {ch.name} ({ch.detail})"
         for ch in report.checks
     ]
-    lines.append(
-        f"{'all checks passed' if report.all_pass else 'SOME CHECKS FAILED'}"
-    )
+    lines.append("all checks passed" if report.all_pass else "SOME CHECKS FAILED")
     rows = [["check", "pass", "detail"]]
     rows += [[ch.name, ch.passed, ch.detail] for ch in report.checks]
     return (0 if report.all_pass else 1), report.to_dict(), lines, rows
@@ -153,31 +149,32 @@ def _cmd_paths(args, curve: Curve):
     rows += [
         [n, k, str(v)] for n, row in enumerate(table) for k, v in enumerate(row)
     ]
-    code = 0
+    same = True
     if args.brute:
         n_max = min(args.rows - 1, BRUTE_FORCE_LIMIT)
         same = table[: n_max + 1] == brute_force_table(ss, n_max)
         note = f"brute force to n = {n_max}: {'agrees' if same else 'MISMATCH'}"
         payload["brute_force"] = note
         lines.append(note)
-        code = 0 if same else 1
-    return code, payload, lines, rows
+    return (0 if same else 1), payload, lines, rows
 
 
 def _cmd_hankel(args, curve: Curve):
     count = args.count if args.count is not None else (args.order + 1) // 2
-    series = _family_series(args, curve, max(args.order, 2 * count - 1))
-    prefix = series.prefix(2 * count - 1)
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    prefix = _family_series(args, curve, 2 * count - 1).coefficients()
     h = hankel_transform(prefix, count)
     sp = somos_params(curve)
     sv = somos_verify(h, sp) if count >= 5 else None
-    code = 0 if (sv is None or sv) else 1
+    verdict = "not checked (needs 5 terms)"
+    if sv is not None:
+        skipped = f" (skipped zero divisors at {sv.skipped})" if sv.skipped else ""
+        verdict = ("holds" if sv else "FAILS") + skipped
+    same = True
     try:
-        prod = _point_products(curve, count)
-        same = prod == h
+        same = _point_products(curve, count) == h
         product_note = f"point product: {'agrees' if same else 'MISMATCH'}"
-        if not same:
-            code = 1
     except TorsionDepthError as exc:
         product_note = f"point product skipped: {exc}"
     payload = {
@@ -185,27 +182,18 @@ def _cmd_hankel(args, curve: Curve):
         "family": args.family,
         "sequence": _strs(prefix),
         "hankel": _strs(h),
-        "somos": {"r": str(sp.r), "s": str(sp.s)}
-        | ({"ok": bool(sv)} if sv is not None else {"ok": None}),
+        "somos": {"r": str(sp.r), "s": str(sp.s), "ok": None if sv is None else bool(sv)},
         "point_product": product_note,
     }
-    if sv is None:
-        somos_line = f"Somos-4 (r, s) = ({sp.r}, {sp.s}): not checked (needs 5 terms)"
-    else:
-        somos_line = (
-            f"Somos-4 (r, s) = ({sp.r}, {sp.s}): "
-            + ("holds" if sv else "FAILS")
-            + (f" (skipped zero divisors at {sv.skipped})" if sv.skipped else "")
-        )
     lines = [
         "sequence: " + ", ".join(payload["sequence"]),
         "hankel:   " + ", ".join(payload["hankel"]),
-        somos_line,
+        f"Somos-4 (r, s) = ({sp.r}, {sp.s}): {verdict}",
         product_note,
     ]
     rows = [["n", "hankel_n"]]
     rows += [[n, str(v)] for n, v in enumerate(h)]
-    return code, payload, lines, rows
+    return (0 if same and (sv is None or bool(sv)) else 1), payload, lines, rows
 
 
 def _cmd_eds(args, curve: Curve):
@@ -234,37 +222,31 @@ def _cmd_points(args, curve: Curve):
 
 
 def _cmd_jfrac(args, curve: Curve):
-    target = derive_g(curve, args.order).binomial(args.shift)
-    code = 0
+    routes = {}  # the requested routes to the J-fraction, series first
+    if args.source != "points":
+        target = derive_g(curve, args.order).binomial(args.shift)
+        routes["series"] = jfrac_extract(target, args.depth)
+    if args.source != "series":
+        routes["points"] = jfrac_from_points(curve, args.shift, args.depth)
     payload: dict = {
         "curve": curve.to_dict(),
         "shift": str(args.shift),
         "depth": args.depth,
     }
-    lines = []
-    jf_series = jf_points = None
-    if args.source in ("series", "both"):
-        jf_series = jfrac_extract(target, args.depth)
-        payload["from_series"] = jf_series.to_dict()
-        lines.append(f"from series: {jf_series}")
-    if args.source in ("points", "both"):
-        jf_points = jfrac_from_points(curve, args.shift, args.depth)
-        payload["from_points"] = jf_points.to_dict()
-        lines.append(f"from points: {jf_points}")
-    if jf_series is not None and jf_points is not None:
-        same = jf_series == jf_points
+    payload |= {f"from_{name}": jf.to_dict() for name, jf in routes.items()}
+    lines = [f"from {name}: {jf}" for name, jf in routes.items()]
+    rows = [["source", "j", "b_j", "lambda_j"]]
+    rows += [
+        [name, j, str(b), str(jf.lam[j]) if j < len(jf.lam) else ""]
+        for name, jf in routes.items()
+        for j, b in enumerate(jf.b)
+    ]
+    same = True
+    if len(routes) == 2:
+        same = routes["series"] == routes["points"]
         payload["agree"] = same
         lines.append("the two routes " + ("agree" if same else "DISAGREE"))
-        if not same:
-            code = 1
-    rows = [["source", "j", "b_j", "lambda_j"]]
-    for name, jf in (("series", jf_series), ("points", jf_points)):
-        if jf is None:
-            continue
-        for j in range(len(jf.b)):
-            lam = str(jf.lam[j]) if j < len(jf.lam) else ""
-            rows.append([name, j, str(jf.b[j]), lam])
-    return code, payload, lines, rows
+    return (0 if same else 1), payload, lines, rows
 
 
 def _cmd_oeis(args, curve: Curve):
@@ -319,21 +301,23 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("b", type=_rat, help="coefficient b of the curve")
     common.add_argument("c", type=_rat, help="coefficient c of the curve")
     common.add_argument(
-        "--order", type=int, default=32, help="series truncation order (default 32)"
-    )
-    common.add_argument(
         "--format",
         choices=("text", "json", "csv"),
         default="text",
         help="output format (default text)",
     )
+    # points and paths read no order, so they take the common options only
+    ordered = argparse.ArgumentParser(add_help=False, parents=[common])
+    ordered.add_argument(
+        "--order", type=int, default=32, help="series truncation order (default 32)"
+    )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("derive", parents=[common], help="series and parameters for a curve")
+    p = sub.add_parser("derive", parents=[ordered], help="series and parameters for a curve")
     p.set_defaults(func=_cmd_derive)
 
-    p = sub.add_parser("verify", parents=[common], help="run every cross-check on a curve")
+    p = sub.add_parser("verify", parents=[ordered], help="run every cross-check on a curve")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("paths", parents=[common], help="weighted lattice path triangle")
@@ -347,12 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_paths)
 
-    p = sub.add_parser("hankel", parents=[common], help="Hankel transform and Somos-4 check")
+    p = sub.add_parser("hankel", parents=[ordered], help="Hankel transform and Somos-4 check")
     p.add_argument("--family", choices=("g", "gamma"), default="g")
     p.add_argument("--count", type=int, default=None, help="number of determinants")
     p.set_defaults(func=_cmd_hankel)
 
-    p = sub.add_parser("eds", parents=[common], help="elliptic divisibility sequence")
+    p = sub.add_parser("eds", parents=[ordered], help="elliptic divisibility sequence")
     p.add_argument("--count", type=int, default=None, help="last index (default --order)")
     p.set_defaults(func=_cmd_eds)
 
@@ -360,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=8, help="how many multiples (default 8)")
     p.set_defaults(func=_cmd_points)
 
-    p = sub.add_parser("jfrac", parents=[common], help="Jacobi continued fraction")
+    p = sub.add_parser("jfrac", parents=[ordered], help="Jacobi continued fraction")
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--shift", type=_rat, default=Fraction(0), help="binomial shift of g")
     p.add_argument(
@@ -368,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_jfrac)
 
-    p = sub.add_parser("oeis", parents=[common], help="compare against an OEIS b-file")
+    p = sub.add_parser("oeis", parents=[ordered], help="compare against an OEIS b-file")
     p.add_argument("anum", help="OEIS A-number, e.g. A025243")
     p.add_argument("--family", choices=("g", "gamma"), default="gamma")
     p.add_argument("--hankel", action="store_true", help="compare the Hankel transform instead")

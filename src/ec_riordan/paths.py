@@ -78,8 +78,7 @@ def stepset_for_g(curve) -> StepSet:
     The origin override alpha + gamma equals the x-coefficient of g, which
     is -1 for every curve in this family.
     """
-    am = g_family_params(curve.a, curve.b, curve.c)
-    return StepSet.of(_amatrix_steps(am), am.alpha + am.gamma)
+    return stepset_orbit(curve, 0)
 
 
 def stepset_for_gamma(curve) -> StepSet:

@@ -219,7 +219,9 @@ def full_verify(curve: Curve, order: int = 24) -> VerifyReport:
     def eds():
         w = curve.eds(count + 1)[2:]
         signs = "".join("0" if y == 0 else "+" if x * y > 0 else "-" for x, y in zip(w, h))
-        return all(abs(x) == abs(y) for x, y in zip(w, h)), f"n < {count}; sign vector {signs}"
+        # h_n = (-1)^(n+1) W_(n+2): x([m]P) = -W_(m-1) W_(m+1) / W_m^2 (Ward 1948)
+        same = all(y == (x if n % 2 else -x) for n, (x, y) in enumerate(zip(w, h)))
+        return same, f"n < {count}; sign vector {signs}"
     def points(s, jf_shift):  # g's fraction is the one the minors were read off
         try:
             jf = _jfrac_from_multiples(curve, pts, jf_shift, depth)

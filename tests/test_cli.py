@@ -10,8 +10,9 @@ import sys
 import pytest
 
 import ec_riordan
-from ec_riordan import Curve
+from ec_riordan import Curve, cli
 from ec_riordan.cli import main
+from ec_riordan.transforms import JFraction, SomosParams
 
 
 def run(capsys, *argv):
@@ -110,6 +111,18 @@ class TestErrors:
         with pytest.raises(SystemExit) as info:
             main(["--version"])
         assert info.value.code == 0
+
+    @pytest.mark.parametrize("command", ["points", "paths"])
+    def test_order_refused_where_unread(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "-1", "-2", "-1", "--order", "5"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --order 5" in capsys.readouterr().err
+
+    def test_hankel_count_zero(self, capsys):
+        code, _, err = run(capsys, "hankel", "-1", "-2", "-1", "--count", "0")
+        assert code == 2
+        assert "count must be at least 1" in err
 
     def test_bad_negative_rational_is_named_as_given(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -212,6 +225,39 @@ class TestHankelEdsPoints:
         assert ["5", "16/49", "-169/343"] in rows
 
 
+class TestFailedChecks:
+    """Exit code 1 when one route of a subcommand disagrees with another."""
+
+    def test_hankel_point_product_mismatch(self, capsys, monkeypatch):
+        original = cli._point_products
+        monkeypatch.setattr(
+            cli, "_point_products", lambda curve, count: original(curve, count)[:-1] + [0]
+        )
+        code, out, _ = run(capsys, "hankel", "-1", "-2", "-1", "--count", "7")
+        assert code == 1
+        assert "point product: MISMATCH" in out
+        assert "holds" in out
+
+    def test_hankel_somos_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "somos_params", lambda curve: SomosParams(1, curve.q + 1))
+        code, out, _ = run(capsys, "hankel", "-1", "-2", "-1", "--count", "7")
+        assert code == 1
+        assert "Somos-4 (r, s) = (1, -1): FAILS" in out
+        assert "point product: agrees" in out
+
+    def test_jfrac_routes_disagree(self, capsys, monkeypatch):
+        original = cli.jfrac_from_points
+
+        def perturbed(curve, shift, depth):
+            jf = original(curve, shift, depth)
+            return JFraction((jf.b[0] + 1,) + jf.b[1:], jf.lam)
+
+        monkeypatch.setattr(cli, "jfrac_from_points", perturbed)
+        code, out, _ = run(capsys, "jfrac", "-1", "-2", "-1", "--depth", "4")
+        assert code == 1
+        assert "the two routes DISAGREE" in out
+
+
 class TestJfrac:
     def test_routes_agree(self, capsys):
         code, out, _ = run(
@@ -225,6 +271,24 @@ class TestJfrac:
         assert code == 0
         assert "from points: b = [-1]; lambda = [2]" in out
         assert "the two routes agree" in out
+
+    def test_series_derived_only_as_read(self, capsys, monkeypatch):
+        # hankel reads 2*count - 1 coefficients, and the points route none
+        orders = []
+        original = cli.derive_g
+
+        def recording(curve, order):
+            orders.append(order)
+            return original(curve, order)
+
+        monkeypatch.setattr(cli, "derive_g", recording)
+        assert run(capsys, "hankel", "-1", "-2", "-1", "--count", "3")[0] == 0
+        assert run(capsys, "hankel", "-1", "-2", "-1", "--order", "9")[0] == 0
+        argv = ["jfrac", "-1", "-2", "-1", "--depth", "3", "--source", "points", "--order", "0"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.startswith("from points: b = [-1, -3/2, 5/2]")
+        assert orders == [5, 9]
 
     def test_series_only(self, capsys):
         code, out, _ = run(

@@ -285,6 +285,24 @@ class TestEDS:
                     continue
                 assert pts[n - 1].x == -w[n - 1] * w[n + 1] / w[n] ** 2
 
+    def test_first_zero_is_the_order_of_p(self):
+        # W_n = 0 exactly when [n]P is infinity, so the first zero past W_1
+        # is the order of P, and an EDS without one has P of larger order
+        rng = random.Random(24)
+        larger = [(-4, 2, -3), (F(-3, 2), F(-3, 2), -2), (F(-1, 3), 1, 0)]  # orders 5, 7, 8
+        curves = [Curve(*abc) for abc in [*TORSION, *larger]]
+        curves += [random_rational_curve(rng, span=6) for _ in range(400)]
+        torsion = 0
+        for cur in curves:
+            pts = cur.multiples(13)
+            zeros = [n for n, w in enumerate(cur.eds(13)) if n >= 2 and w == 0]
+            if pts[-1].is_infinity:
+                torsion += 1
+                assert zeros[:1] == [len(pts)], (cur.a, cur.b, cur.c)
+            else:
+                assert zeros == [], (cur.a, cur.b, cur.c)
+        assert torsion >= 15
+
 
 class TestSeriesBranch:
     def test_branch_through_origin(self):

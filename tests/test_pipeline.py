@@ -304,6 +304,23 @@ class TestFullVerify:
             assert [verdicts[name] for name in JFRAC_CHECKS] == [False, False], (abc, order)
             assert report.all_pass is False
 
+    @pytest.mark.parametrize("index", [3, 5, 7])
+    def test_eds_sign_is_compared(self, monkeypatch, index):
+        # h_n = (-1)^(n+1) W_(n+2); a negated W keeps every magnitude, so
+        # only a comparison of signed values sees it
+        original = Curve.eds
+
+        def negated(self, n_max):
+            w = original(self, n_max)
+            w[index] = -w[index]
+            return w
+
+        monkeypatch.setattr(Curve, "eds", negated)
+        report = full_verify(Curve(*E1), order=16)
+        verdicts = {c.name: c.passed for c in report.checks}
+        assert verdicts["EDS magnitude vs Hankel"] is False
+        assert report.all_pass is False
+
     @pytest.mark.parametrize("abc, m", FINITE_ORDER)
     def test_finite_order_stops_at_minus_p(self, abc, m):
         # x = 0 only at P and -P = (0, 1), and 2P is affine, so a base point

@@ -153,10 +153,13 @@ def load_bfile(
 
 
 class MatchResult(NamedTuple):
-    matched: bool
-    offset: Optional[int]
+    offset: Optional[int]  # the shift that matched, None if none did
     compared: int
     first_mismatch: Optional[tuple[int, str, str]]  # position, ours, theirs
+
+    @property
+    def matched(self) -> bool:
+        return self.offset is not None
 
     def to_dict(self) -> dict:
         return {
@@ -177,8 +180,7 @@ def compare_sequence(computed: Sequence[Rat], bfile: BFile) -> MatchResult:
     """
     vals = bfile.values
     shifts = sorted(range(-MAX_SHIFT, MAX_SHIFT + 1), key=lambda d: (abs(d), d < 0))
-    fallback: Optional[tuple[int, str, str]] = None
-    best_compared = 0
+    fallback = MatchResult(None, 0, None)  # no match: the nearest shift's mismatch
     for d in shifts:
         ours = computed[-d:] if d < 0 else computed
         theirs = vals[d:] if d >= 0 else vals
@@ -191,8 +193,7 @@ def compare_sequence(computed: Sequence[Rat], bfile: BFile) -> MatchResult:
                 mismatch = (i, str(ours[i]), str(theirs[i]))
                 break
         if mismatch is None:
-            return MatchResult(True, d, overlap, None)
-        if d == 0 or fallback is None:
-            fallback = mismatch
-            best_compared = overlap
-    return MatchResult(False, None, best_compared, fallback)
+            return MatchResult(d, overlap, None)
+        if fallback.first_mismatch is None:
+            fallback = MatchResult(None, overlap, mismatch)
+    return fallback

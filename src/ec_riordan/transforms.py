@@ -168,16 +168,17 @@ class SomosCheck(NamedTuple):
 
     Indices where the divisor term a_{n-4} vanishes cannot be pinned by the
     defining recurrence; they are skipped and reported rather than failed.
-    Truthiness means every checked index passed.
+    `ok`, and truthiness, mean that no checked index failed.
     """
 
-    ok: bool
     checked: list[int]
     skipped: list[int]
     failures: list[int]
 
     def __bool__(self) -> bool:
-        return self.ok
+        return not self.failures
+
+    ok = property(__bool__)
 
 
 def somos_verify(seq: Sequence[Rat], params: SomosParams) -> SomosCheck:
@@ -185,46 +186,48 @@ def somos_verify(seq: Sequence[Rat], params: SomosParams) -> SomosCheck:
     terms = [Fraction(t) for t in seq]
     if len(terms) < 5:
         raise InsufficientTermsError("Somos-4 verification needs at least 5 terms")
-    checked: list[int] = []
-    skipped: list[int] = []
-    failures: list[int] = []
+    check = SomosCheck(checked=[], skipped=[], failures=[])
     for n in range(4, len(terms)):
         if terms[n - 4] == 0:
-            skipped.append(n)
+            check.skipped.append(n)
             continue
         lhs = terms[n] * terms[n - 4]
         rhs = params.r * terms[n - 1] * terms[n - 3] + params.s * terms[n - 2] ** 2
         if lhs == rhs:
-            checked.append(n)
+            check.checked.append(n)
         else:
-            failures.append(n)
-    return SomosCheck(ok=not failures, checked=checked, skipped=skipped, failures=failures)
+            check.failures.append(n)
+    return check
 
 
 # -- Jacobi continued fractions ----------------------------------------------
 
 
-class JFraction(namedtuple("JFraction", "b lam exact")):
+class JFraction(namedtuple("JFraction", "b lam")):
     """A truncated J-fraction; depth = len(lam), len(b) in {depth, depth+1}.
 
-    `exact` marks a terminating fraction, which evaluates validly to any
-    order.  Only a caller that knows the tail is identically zero may set
-    it: a truncated series cannot prove that, so extraction never does.
+    It is `exact` (terminating) when some lambda is 0: no path that climbs
+    past a vanishing lambda comes back down to height 0, so the fraction
+    ends there and its series is valid to any order.
     """
 
     __slots__ = ()
 
-    def __new__(cls, b: tuple[Fraction, ...], lam: tuple[Fraction, ...], exact: bool = False):
+    def __new__(cls, b: tuple[Fraction, ...], lam: tuple[Fraction, ...]):
         if len(b) not in (len(lam), len(lam) + 1):
             raise ValueError(
                 f"a depth-{len(lam)} J-fraction needs {len(lam)} or "
                 f"{len(lam) + 1} b values, got {len(b)}"
             )
-        return super().__new__(cls, b, lam, exact)
+        return super().__new__(cls, b, lam)
 
     @property
     def depth(self) -> int:
         return len(self.lam)
+
+    @property
+    def exact(self) -> bool:
+        return 0 in self.lam
 
     def to_dict(self) -> dict:
         return {
@@ -245,8 +248,8 @@ def jfrac_extract(g: Series, depth: int) -> JFraction:
 
     T[k][k] = 1 (the all-up path), so row k of the path table gives b_k, and
     row k+1 gives lambda_{k+1} and column k+1.  If some lambda vanishes the
-    extraction stops there and the returned fraction reports the depth
-    actually achieved.  It is never marked exact: a lambda that vanishes on
+    extraction stops before it and the returned fraction reports the depth
+    actually achieved.  So it is never exact: a lambda that vanishes on
     the available order (as for a prefix of 1/(1-x)) may not vanish on a
     longer series.
     """
@@ -280,8 +283,8 @@ def jfrac_from_points(curve: Curve, shift: Rat, depth: int) -> JFraction:
     b_j = (y([(j+2)]P) - 1)/x([(j+2)]P) + (c - a - 1) + shift for
     j = 0..depth-1, lambda_j = -x([(j+1)]P) for j = 1..depth.
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     return _jfrac_from_multiples(curve, curve.multiples(depth + 1), shift, depth)
 
 
@@ -311,11 +314,11 @@ def _jfrac_from_multiples(
 def jfrac_eval(jf: JFraction, order: int) -> Series:
     """Evaluate a J-fraction as a series with `order` coefficients.
 
-    Column 0 of the path table, on paths of height <= depth (b_k = 0 past
-    the given b).  A depth-d fraction justifies order <= 2d (terminating
-    fractions are exact at any order).  Row n is kept only at heights
-    k <= order - 1 - n: a path higher than that cannot return to height 0
-    by the last row.
+    Column 0 of the path table on paths of height < depth: a path that
+    reaches height d has 2d or more steps, so a depth-d fraction fixes
+    order <= 2d, and an exact one any order (no path that climbs past a
+    vanishing lambda returns).  Row n is kept only at heights
+    k <= order - 1 - n, the ones that can still return to height 0.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -323,13 +326,12 @@ def jfrac_eval(jf: JFraction, order: int) -> Series:
         raise InsufficientDepthError(
             f"order {order} needs depth >= {(order + 1) // 2}, have {jf.depth}"
         )
-    top = min(jf.depth, (order - 1) // 2)  # higher paths cannot return in time
-    b = jf.b + (Fraction(0),) * (top + 1 - len(jf.b))
+    top = min(jf.depth - 1, (order - 1) // 2)  # higher paths cannot return in time
     row = [Fraction(1)] + [Fraction(0)] * top
     coeffs = [row[0]]
     for n in range(1, order):
         prev = row
-        row = [b[k] * prev[k] for k in range(min(top, order - 1 - n) + 1)]
+        row = [jf.b[k] * prev[k] for k in range(min(top, order - 1 - n) + 1)]
         for k in range(1, len(row)):
             row[k] += prev[k - 1]
         for k in range(min(len(row), len(prev) - 1)):

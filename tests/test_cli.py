@@ -272,6 +272,21 @@ class TestJfrac:
         assert "from points: b = [-1]; lambda = [2]" in out
         assert "the two routes agree" in out
 
+    @pytest.mark.parametrize("source", ["series", "points", "both"])
+    def test_depth_zero_is_the_empty_fraction(self, capsys, source):
+        argv = ["jfrac", "-1", "-2", "-1", "--depth", "0", "--source", source]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        names = ["series", "points"] if source == "both" else [source]
+        agree = ["the two routes agree"] if source == "both" else []
+        assert out.splitlines() == [f"from {n}: b = []; lambda = []" for n in names] + agree
+
+    @pytest.mark.parametrize("source", ["series", "points", "both"])
+    def test_negative_depth_is_refused(self, capsys, source):
+        argv = ["jfrac", "-1", "-2", "-1", "--depth", "-1", "--source", source]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: depth must be nonnegative\n")
+
     def test_series_derived_only_as_read(self, capsys, monkeypatch):
         # hankel reads 2*count - 1 coefficients, and the points route none
         orders = []

@@ -236,6 +236,70 @@ class TestMultiples:
                     assert (q.x, q.y) == (p.x, p.y - s * p.x)
 
 
+def kubert_order(cur):
+    """The order of P that Kubert's table names, or None past order 5.
+
+    y -> y + c*x and x, y scaled by q^2, q^3 take the curve to Tate's
+    normal form y^2 + (1 - C)xy - By = x^3 - Bx^2 with B = q^3 and
+    C = 1 + pq, where q = 0 gives order 3, C = 0 order 4 and B = C order 5.
+    """
+    big_b, big_c = cur.q**3, 1 + cur.p * cur.q
+    if cur.q == 0:
+        return 3
+    if big_c == 0:
+        return 4
+    if big_b == big_c:
+        return 5
+    return None
+
+
+def curves_on_kubert_rows(rng, count):
+    """Nonsingular rational curves forced onto the order 3, 4 and 5 rows in turn."""
+    def rat():
+        return F(rng.randint(-4, 4), rng.randint(1, 3))
+    out = []
+    while len(out) < count:
+        a, c, q = rat(), rat(), rat() or F(1)
+        p = a - 2 * c
+        row = len(out) % 3
+        if row == 0:
+            b = a * c - c * c  # q = 0
+        elif row == 1:
+            if p == 0:
+                continue
+            b = -1 / p + a * c - c * c  # q = -1/p, so C = 0
+        else:
+            a = (q**3 - 1) / q + 2 * c  # p = (q^3 - 1)/q, so C = q^3 = B
+            b = q + a * c - c * c
+        try:
+            out.append(Curve(a, b, c))
+        except SingularCurveError:
+            continue
+    return out
+
+
+class TestKubertTable:
+    def test_rows_name_the_order_of_p(self):
+        # the rows are checked against the list of multiples; where no row
+        # fires, P has order 7 or more (order 6 and up are left unlisted)
+        rng = random.Random(25)
+        larger = [(-4, 2, -3), (F(-3, 2), F(-3, 2), -2), (F(-1, 3), 1, 0)]  # orders 5, 7, 8
+        curves = [Curve(*abc) for abc in [E1, *TORSION, *larger]]
+        curves += [random_rational_curve(rng, span=3, den=3) for _ in range(1000)]
+        curves += curves_on_kubert_rows(rng, 600)
+        seen = {}
+        for cur in curves:
+            pts = cur.multiples(13)
+            order = len(pts) if pts[-1].is_infinity else None
+            row = kubert_order(cur)
+            if row is None:
+                assert order is None or order >= 7, (cur.a, cur.b, cur.c)
+            else:
+                assert order == row, (cur.a, cur.b, cur.c)
+            seen[order] = seen.get(order, 0) + 1
+        assert min(seen[3], seen[4], seen[5]) >= 200 and seen[7] and seen[8]
+
+
 class TestEDS:
     def test_worked_curve_values(self):
         assert Curve(*E1).eds(12) == E1_EDS

@@ -61,6 +61,16 @@ def test_every_listed_name_is_in_the_readme():
         assert re.search(rf"\b{name}\b", text), name
 
 
+def test_readme_quick_start_runs(capsys):
+    # the block asserts the EDS identity that full_verify checks, and
+    # prints check.ok; each print is followed by the output it gives
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    exec(compile(block, str(README), "exec"), {})
+    shown = [line.split("# ")[1].split(" (")[0] for line in block.splitlines()
+             if line.startswith("print(")]
+    assert capsys.readouterr().out.splitlines() == shown
+
+
 # -- the records: tuples for the immutable ones, slotted classes otherwise ---
 
 
@@ -105,24 +115,36 @@ class TestRecords:
         _frozen(sp, "r")
 
     def test_somos_check(self):
-        ok = SomosCheck(ok=True, checked=[4, 5], skipped=[], failures=[])
-        assert repr(ok) == "SomosCheck(ok=True, checked=[4, 5], skipped=[], failures=[])"
-        assert ok == SomosCheck(True, [4, 5], [], [])
-        assert ok != SomosCheck(True, [4], [5], [])
-        assert ok and not SomosCheck(ok=False, checked=[4], skipped=[], failures=[5])
-        # truthiness follows ok, not the tuple's length
-        assert not SomosCheck(False, [], [], [])
+        ok = SomosCheck(checked=[4, 5], skipped=[], failures=[])
+        assert repr(ok) == "SomosCheck(checked=[4, 5], skipped=[], failures=[])"
+        assert ok == SomosCheck([4, 5], [], [])
+        assert ok != SomosCheck([4], [5], [])
+        assert ok and not SomosCheck(checked=[4], skipped=[], failures=[5])
+        # ok and truthiness follow the failures, not the tuple's length
+        assert ok.ok and not SomosCheck([], [], [4]).ok
+        assert not SomosCheck([], [], [4])
+        assert SomosCheck._fields == ("checked", "skipped", "failures")
         with pytest.raises(TypeError):
-            SomosCheck(ok=True)  # the lists no longer default to empty
+            SomosCheck(checked=[4])  # the lists do not default to empty
+        with pytest.raises(TypeError):
+            SomosCheck(True, [], [], [])  # the verdict is not a field
+        _frozen(ok, "ok")
 
     def test_jfraction(self):
         jf = JFraction((F(1),), ())
-        assert repr(jf) == "JFraction(b=(Fraction(1, 1),), lam=(), exact=False)"
-        _equal_and_hash_equal(jf, JFraction(b=(F(1),), lam=(), exact=False))
-        assert jf != JFraction((F(1),), (), exact=True)
-        assert JFraction((F(1), F(2)), (F(3),), True).depth == 1
+        assert repr(jf) == "JFraction(b=(Fraction(1, 1),), lam=())"
+        _equal_and_hash_equal(jf, JFraction(b=(F(1),), lam=()))
+        # exact is read off the lambdas: a zero one ends the fraction
+        whole = JFraction((F(1), F(0)), (F(0),))
+        assert whole.exact and not jf.exact and jf != whole
+        assert JFraction((F(1), F(2)), (F(3),)).depth == 1
+        assert JFraction._fields == ("b", "lam")
         with pytest.raises(ValueError):
             JFraction((), (F(1), F(2)))
+        with pytest.raises(TypeError):
+            JFraction((F(1),), (), True)  # the verdict is not a field
+        with pytest.raises(TypeError):
+            JFraction((F(1),), (), exact=True)
         _frozen(jf, "exact")
 
     def test_stepset(self):
@@ -137,13 +159,17 @@ class TestRecords:
         _frozen(ss, "steps")
 
     def test_match_result(self):
-        mr = MatchResult(False, None, 6, (4, "5", "99"))
+        mr = MatchResult(None, 6, (4, "5", "99"))
         assert repr(mr) == (
-            "MatchResult(matched=False, offset=None, compared=6, "
-            "first_mismatch=(4, '5', '99'))"
+            "MatchResult(offset=None, compared=6, first_mismatch=(4, '5', '99'))"
         )
-        _equal_and_hash_equal(mr, MatchResult(False, None, 6, (4, "5", "99")))
-        assert mr != MatchResult(True, 0, 6, None)
+        _equal_and_hash_equal(mr, MatchResult(None, 6, (4, "5", "99")))
+        assert mr != MatchResult(0, 6, None)
+        # matched is read off the offset: shift 0 is a match, None is not
+        assert MatchResult(0, 6, None).matched and not mr.matched
+        assert MatchResult._fields == ("offset", "compared", "first_mismatch")
+        with pytest.raises(TypeError):
+            MatchResult(True, 0, 6, None)  # the verdict is not a field
         _frozen(mr, "matched")
 
     def test_check_result(self):
@@ -177,8 +203,8 @@ class TestRecords:
     def test_copy_and_pickle(self):
         records = [
             Point(F(1), F(2)), AMatrix.of(1, 2, 3, 4), SomosParams(F(1), F(2)),
-            SomosCheck(True, [4], [], []), JFraction((F(1),), ()), StepSet(((1, 1, 1),)),
-            MatchResult(True, 0, 6, None), CheckResult("x", True, "d"),
+            SomosCheck([4], [], []), JFraction((F(1),), ()), JFraction((F(1), F(0)), (F(0),)),
+            StepSet(((1, 1, 1),)), MatchResult(0, 6, None), CheckResult("x", True, "d"),
             VerifyReport({"a": "1"}, 12, [CheckResult("x", False)]),
             BFile("A000000", 0, (1, 2), "text"),
         ]

@@ -349,8 +349,8 @@ class TestJFractionExtract:
         assert not jf.exact
         assert jf.b == (F(1),)
         assert jf.lam == ()
-        # evaluating past the prefix needs the caller to assert the zero tail
-        whole = JFraction(jf.b, jf.lam, exact=True)
+        # evaluating past the prefix needs the caller to write the zero lambda
+        whole = JFraction(jf.b + (F(0),), jf.lam + (F(0),))
         assert jfrac_eval(whole, 20) == Series.one(20) / Series.poly([1, -1], 20)
 
     def test_truncated_series_never_terminates(self):
@@ -385,7 +385,7 @@ class TestJFractionPaths:
                 order = rng.randint(1, 2 * depth)
                 got = jfrac_eval(JFraction(b, lam), order)
                 assert got == jfrac_by_division(b, lam, order)
-            got = jfrac_eval(JFraction(b, lam, exact=True), 12)
+            got = jfrac_eval(JFraction(b + (F(0),), lam + (F(0),)), 12)
             assert got == jfrac_by_division(b, lam, 12)
 
     def test_trimmed_eval_matches_untrimmed_table(self):
@@ -395,10 +395,42 @@ class TestJFractionPaths:
             b = tuple(random_rational(rng) for _ in range(depth + rng.randint(0, 1)))
             lam = tuple(random_rational(rng) for _ in range(depth))
             for exact in (False, True):
-                jf = JFraction(b, lam, exact=exact)
+                jf = JFraction(b + (F(0),), lam + (F(0),)) if exact else JFraction(b, lam)
                 # past 2 * depth only a terminating fraction is defined
                 for order in range(1, 2 * depth + 1 + 4 * exact):
                     assert jfrac_eval(jf, order) == jfrac_eval_untrimmed(jf, order)
+
+    def test_a_zero_lambda_is_what_makes_a_fraction_exact(self):
+        # zero lambdas at random places, or none; every order up to
+        # 2 * depth + 4 is either refused or equal to the oracle's prefix
+        rng = random.Random(52)
+        refused = ended = 0
+        for _ in range(1000):
+            depth = rng.randint(0, 6)
+            b = tuple(random_rational(rng) for _ in range(depth + rng.randint(0, 1)))
+            share = rng.choice((0, 0.25))  # randint still draws a zero now and then
+            lam = tuple(random_rational(rng, share) for _ in range(depth))
+            jf = JFraction(b, lam)
+            oracle = jfrac_by_division(b, lam, 2 * depth + 4)
+            for order in range(1, 2 * depth + 5):
+                if order > 2 * depth and 0 not in lam:
+                    refused += 1
+                    with pytest.raises(InsufficientDepthError):
+                        jfrac_eval(jf, order)
+                else:
+                    ended += order > 2 * depth
+                    assert jfrac_eval(jf, order) == oracle.truncate(order)
+        assert refused > 1000 and ended > 500
+
+    def test_a_prefix_cannot_be_declared_exact(self):
+        # b and lambda of a depth-3 prefix evaluate to order 6 and no further
+        g = derive_g(Curve(*E1), 20)
+        jf = jfrac_extract(g, 3)
+        assert jfrac_eval(jf, 6) == g.truncate(6)
+        with pytest.raises(TypeError):
+            JFraction(jf.b, jf.lam, exact=True)
+        with pytest.raises(InsufficientDepthError):
+            jfrac_eval(jf, 20)
 
     def test_extract_inverts_oracle(self):
         rng = random.Random(49)
@@ -412,13 +444,13 @@ class TestJFractionPaths:
 
     def test_shape_is_checked(self):
         with pytest.raises(ValueError):
-            JFraction((), (F(1), F(2)), exact=True)
+            JFraction((), (F(1), F(0)))
         with pytest.raises(ValueError):
             JFraction((F(1),) * 4, (F(1), F(2)))
         assert JFraction((F(1),) * 3, (F(1), F(2))).depth == 2
 
     def test_deep_termination(self):
-        whole = JFraction((F(1), F(2), F(3)), (F(2), F(-1)), exact=True)
+        whole = JFraction((F(1), F(2), F(3), F(0)), (F(2), F(-1), F(0)))
         s = jfrac_eval(whole, 9)
         assert s == jfrac_by_division(whole.b, whole.lam, 9)
         jf = jfrac_extract(s, 4)
@@ -435,8 +467,13 @@ class TestJFractionFromPoints:
 
     def test_depth_one_and_zero(self):
         assert jfrac_from_points(Curve(*E1), 0, 1) == JFraction((F(-1),), (F(2),))
-        with pytest.raises(ValueError, match="depth must be at least 1"):
-            jfrac_from_points(Curve(*E1), 0, 0)
+        # depth 0 is the empty fraction, on this route as on extraction
+        assert jfrac_from_points(Curve(*E1), 0, 0) == JFraction((), ())
+        assert jfrac_extract(derive_g(Curve(*E1), 1), 0) == JFraction((), ())
+        with pytest.raises(ValueError, match="^depth must be nonnegative$"):
+            jfrac_from_points(Curve(*E1), 0, -1)
+        with pytest.raises(ValueError, match="^depth must be nonnegative$"):
+            jfrac_extract(derive_g(Curve(*E1), 1), -1)
 
     def test_matches_extraction_across_curves_and_shifts(self):
         rng = random.Random(46)

@@ -7,6 +7,7 @@ input (singular curve, bad arguments), 3 sequence lookup or network failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -287,7 +288,9 @@ def _cmd_oeis(args, curve: Curve):
     return (0 if result.matched else 1), payload, lines, rows
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Build the parser once per process and share it: callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="ec-riordan",
         description="Series, Riordan arrays, lattice paths, Hankel transforms "

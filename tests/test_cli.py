@@ -1,5 +1,6 @@
 """The command line interface: outputs, formats, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -385,3 +386,40 @@ class TestOutputLimits:
             sys.set_int_max_str_digits(limit)
         assert len(last) > 4300  # the interpreter's default limit
         assert json.loads(out)["eds"][-1] == last
+
+
+class TestParserBuiltOnce:
+    def test_second_call_builds_no_parser(self, capsys, monkeypatch):
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli.build_parser.cache_clear()  # earlier tests may have built it already
+        argv = ["eds", "-1", "-2", "-1", "--count", "5"]
+        first = run(capsys, *argv)
+        assert first[0] == 0 and built
+        built.clear()
+        assert run(capsys, *argv) == first
+        assert built == []
+
+    def test_shared_parser(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_import_builds_no_parser(self):
+        src = str(pathlib.Path(ec_riordan.__file__).resolve().parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import argparse; built = []; "
+            "init = argparse.ArgumentParser.__init__; "
+            "argparse.ArgumentParser.__init__ = "
+            "lambda self, *a, **k: built.append(1) or init(self, *a, **k); "
+            "import ec_riordan.cli; imported = len(built); "
+            "ec_riordan.cli.build_parser(); print(imported, len(built) > 0)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 True\n", "")

@@ -122,6 +122,40 @@ def test_output_unchanged(argv):
     assert run(argv) == _frozen()[_key(argv)]
 
 
+# argparse rejections, some after setting the options whose defaults other
+# cases read (--shift, --r, --count, --source)
+REJECTED = [
+    ["points", "-1", "-2", "-1", "--order", "5"],
+    ["jfrac", "-1", "-2", "-1", "--shift", "3", "--source", "neither"],
+    ["paths", "-1", "-2", "-1", "--family", "orbit", "--r", "2", "--rows", "x"],
+    ["hankel", "-1", "-2", "-1", "--count", "3", "--family", "delta"],
+    ["derive", "x", "0", "0"],
+]
+
+
+def rejected(argv: list[str]) -> str:
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+    assert info.value.code == 2, argv
+    return stderr.getvalue()
+
+
+def test_no_state_between_calls():
+    # one process shares one parser: every case reads as frozen in reverse
+    # order, each followed by an argparse rejection, then each twice in a row
+    frozen = _frozen()
+    refusals = [rejected(argv) for argv in REJECTED]
+    assert all(err.startswith("usage: ec-riordan ") for err in refusals)
+    for i, argv in enumerate(reversed(cases())):
+        assert run(argv) == frozen[_key(argv)], argv
+        k = i % len(REJECTED)
+        assert rejected(REJECTED[k]) == refusals[k]
+    for argv in cases():
+        assert run(argv) == run(argv) == frozen[_key(argv)], argv
+
+
 if __name__ == "__main__":
     frozen = {_key(argv): run(argv) for argv in cases()}
     GOLDEN.write_text(json.dumps(frozen, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -54,6 +54,7 @@ FINITE_ORDER = [
     ((F(-1, 3), 1, 0), 8),
 ]
 JFRAC_CHECKS = ("J-fraction from points (g)", "J-fraction from points (gamma)")
+JFRAC_DEPTH = 9  # the depth full_verify reaches at order 20 on a curve of infinite order
 
 E1_G = [1, -1, 3, -8, 22, -59, 155, -396, 978, -2310, 5122, -10260, 16752]
 EX2_G = [1, -1, 3, 2, 17, 51, 185, 664, 2333, 8360, 29717]
@@ -303,6 +304,37 @@ class TestFullVerify:
             verdicts = {c.name: c.passed for c in report.checks}
             assert [verdicts[name] for name in JFRAC_CHECKS] == [False, False], (abc, order)
             assert report.all_pass is False
+
+    # at order 20 both rows compare b_0..b_8 and lambda_1..lambda_9, read off
+    # [2]P..[10]P; add 1 to each entry of one row's points fraction in turn
+    @pytest.mark.parametrize(
+        "field, j",
+        [pytest.param("b", j, id=f"b{j}") for j in range(JFRAC_DEPTH)]
+        + [pytest.param("lam", j, id=f"lambda{j + 1}") for j in range(JFRAC_DEPTH)],
+    )
+    @pytest.mark.parametrize("row", [0, 1], ids=["g", "gamma"])
+    @pytest.mark.parametrize("abc", [E1, RATIONAL], ids=["E1", "rational"])
+    def test_every_points_entry_is_compared(self, monkeypatch, abc, row, field, j):
+        curve = Curve(*abc)
+        row_shift = (0, curve.p + 1)[row]
+        assert curve.p + 1 != 0  # the shift tells the two rows apart
+        original = pipeline._jfrac_from_multiples
+
+        def corrupted(curve, pts, shift, depth):
+            jf = original(curve, pts, shift, depth)
+            if shift != row_shift:
+                return jf
+            assert depth == JFRAC_DEPTH
+            b, lam = list(jf.b), list(jf.lam)
+            (b if field == "b" else lam)[j] += 1
+            return JFraction(tuple(b), tuple(lam))
+
+        monkeypatch.setattr(pipeline, "_jfrac_from_multiples", corrupted)
+        report = full_verify(curve, 20)
+        verdicts = {c.name: c.passed for c in report.checks}
+        assert verdicts[JFRAC_CHECKS[row]] is False
+        assert verdicts[JFRAC_CHECKS[1 - row]] is True
+        assert report.all_pass is False
 
     @pytest.mark.parametrize("index", [3, 5, 7])
     def test_eds_sign_is_compared(self, monkeypatch, index):
